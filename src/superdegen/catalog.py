@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .cyclo import Cyclo8
-from .invariants import fingerprint, stabilizer_dim
+from .invariants import fingerprint
 from .linalg import FIELD_C8, FIELD_LRAT, Matrix
-from .literals import parse_scalar
+from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat, scalar_substitute
 from .structure import StructureConstants, grading_split, transport_algebra, validate
 
@@ -171,7 +171,10 @@ class Catalog:
         if lambda_value is None:
             return e.sc
         if isinstance(lambda_value, str):
-            lambda_value = parse_scalar(lambda_value)
+            try:
+                lambda_value = parse_scalar(lambda_value)
+            except (ParseError, ZeroDivisionError) as exc:
+                raise ForbiddenParameter(f"family parameter {lambda_value!r} is not a valid literal: {exc}") from exc
         if isinstance(lambda_value, int):
             lambda_value = Cyclo8(lambda_value)
         if not isinstance(lambda_value, Cyclo8):
@@ -218,17 +221,6 @@ class Catalog:
             if moved != e.sc.alpha:
                 bad.append(e.label)
         return bad
-
-
-def verify_dims(catalog: Catalog):
-    """Computed stabilizer/orbit dimensions versus the declared table values."""
-    mismatches = []
-    for e in catalog.entries.values():
-        stab = stabilizer_dim(e.sc)
-        orbit = e.n * e.n - e.n - stab
-        if stab != e.expected_stab_dim or orbit != e.expected_orbit_dim:
-            mismatches.append((e.label, stab, e.expected_stab_dim, orbit, e.expected_orbit_dim))
-    return mismatches
 
 
 def _records_from_source(data) -> list:

@@ -25,6 +25,10 @@ FAMILY_ROWS = ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "1
 SPOT_LAMBDAS = (2, 5)
 
 
+class OutputError(OSError):
+    """An output file named on the command line cannot be written."""
+
+
 def _load(args) -> Catalog:
     return load_catalog(getattr(args, "catalog", None))
 
@@ -126,21 +130,27 @@ def cmd_check(args) -> reports.RunReport:
     return rep
 
 
+def _diagram_text(args) -> str:
+    graph = load_default_graph(_load(args))
+    if args.format == "dot":
+        return dot_diagram(graph, args.component)
+    return json.dumps(json_diagram(graph, args.component), indent=1) + "\n"
+
+
 def cmd_diagram(args) -> reports.RunReport:
     rep = reports.RunReport("diagram")
     t0 = time.time()
-    catalog = _load(args)
-    graph = load_default_graph(catalog)
-    if args.format == "dot":
-        text = dot_diagram(graph, args.component)
-    else:
-        text = json.dumps(json_diagram(graph, args.component), indent=1) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # opened before the graph is built, so a bad path fails at once
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
+            fh.write(_diagram_text(args))
         rep.add(f"component {args.component}", reports.PASS, f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_diagram_text(args))
         rep.add(f"component {args.component}", reports.PASS, f"{args.format} on stdout")
     rep.elapsed = time.time() - t0
     return rep
@@ -225,7 +235,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rep = args.fn(args)
-    except (CatalogError, AxiomError) as exc:
+    except (CatalogError, AxiomError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     out = rep.to_json(args.timing) + "\n" if args.json else rep.to_text(args.timing)

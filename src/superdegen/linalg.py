@@ -3,11 +3,29 @@
 Elimination pivots on the first nonzero entry in column order; with exact
 arithmetic there is nothing to gain from pivot selection, and a fixed rule
 makes every kernel basis and inverse reproducible across runs.
+
+Two elimination kernels run here.  `Matrix._echelon` is Gauss-Jordan: it
+normalises each pivot row and clears its column above and below, which is
+what a kernel basis, a solution or an inverse is read from.  `_forward`
+clears below each pivot only and leaves pivot rows as they are, enough for
+the rank (the number of pivots) and the determinant (their signed product).
+
+Rank over Q(z)(l) is taken by evaluation, with a certificate.  Multiply
+each row by the lcm of its denominators; the rank does not change, and
+every entry becomes a polynomial in l of degree at most d.  At any l = l0
+the rank of the evaluated matrix is a lower bound on the rank over Q(z)(l),
+because a minor that is nonzero at l0 is nonzero as a polynomial.  Let r be
+the largest rank seen so far.  Every (r+1)-minor is a polynomial of degree
+at most (r+1)*d; if it vanishes at (r+1)*d + 1 distinct points it is the
+zero polynomial.  So once that many points have been evaluated, all giving
+rank at most r, the rank over Q(z)(l) is exactly r.  The points are
+l = 0, 1, 2, ... in turn; evaluation stops early once r = min(rows, cols).
 """
 
 from __future__ import annotations
 
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
+from .polys import pdivmod, peval, pgcd, pmul
 from .scalars import LRAT_ONE, LRAT_ZERO, as_lrat
 from .tpoly import TRAT_ONE, TRAT_ZERO, as_trat
 
@@ -42,6 +60,85 @@ class Field:
 FIELD_C8 = Field("Q(z)", C8_ZERO, C8_ONE, _lift_c8)
 FIELD_LRAT = Field("Q(z)(l)", LRAT_ZERO, LRAT_ONE, as_lrat)
 FIELD_TRAT = Field("Q(z)(l)(t)", TRAT_ZERO, TRAT_ONE, as_trat)
+
+_ONE_POLY = (C8_ONE,)
+
+
+def _distinct_nonzero_rows(rows):
+    """The rows that are nonzero, each kept once, in their first order.
+
+    A row is compared only with the rows kept before it that share its
+    leading column, so entry types need no hash."""
+    seen, out = {}, []
+    for row in rows:
+        lead = next((c for c, e in enumerate(row) if not e.is_zero()), None)
+        if lead is None:
+            continue
+        bucket = seen.setdefault(lead, [])
+        if any(row == other for other in bucket):
+            continue
+        bucket.append(row)
+        out.append(row)
+    return out
+
+
+def _forward(m, cols):
+    """Forward elimination in place on the list of row lists m.
+
+    Each pivot clears its column below itself only, and pivot rows are not
+    normalised.  Entries left of the pivot in rows below it are not updated:
+    no later step reads them.  Returns the pivot values in order and the
+    number of row swaps."""
+    pivots, swaps = [], 0
+    pr = 0
+    for pc in range(cols):
+        pivot = next((r for r in range(pr, len(m)) if not m[r][pc].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != pr:
+            m[pr], m[pivot] = m[pivot], m[pr]
+            swaps += 1
+        prow = m[pr]
+        inv = prow[pc].inverse()
+        tail = [(c, prow[c]) for c in range(pc + 1, cols) if not prow[c].is_zero()]
+        for r in range(pr + 1, len(m)):
+            row = m[r]
+            a = row[pc]
+            if a.is_zero():
+                continue
+            f = a * inv
+            for c, b in tail:
+                row[c] = row[c] - f * b
+        pivots.append(prow[pc])
+        pr += 1
+        if pr == len(m):
+            break
+    return pivots, swaps
+
+
+def _cleared_row(row):
+    """A row of LambdaRat times the lcm of its denominators: polynomials in l."""
+    lcm = _ONE_POLY
+    for x in row:
+        if x.den != lcm and len(x.den) > 1:
+            g = pgcd(lcm, x.den, C8_ZERO)
+            lcm = pmul(lcm, pdivmod(x.den, g, C8_ZERO)[0], C8_ZERO)
+    return [x.num if x.den == lcm else pmul(x.num, pdivmod(lcm, x.den, C8_ZERO)[0], C8_ZERO)
+            for x in row]
+
+
+def _rank_by_evaluation(rows, cols):
+    """Rank over Q(z)(l) of nonzero LambdaRat rows, certified as the module
+    docstring explains.  Only one point's evaluated rows are held at a time."""
+    polys = [_cleared_row(row) for row in rows]
+    d = max((len(p) - 1 for row in polys for p in row), default=0)
+    full = min(len(polys), cols)
+    r = points = 0
+    while r < full and points < (r + 1) * d + 1:
+        at = [[peval(p, points, C8_ZERO) for p in row] for row in polys]
+        r = max(r, len(_forward(at, cols)[0]))
+        points += 1
+    return r
 
 
 class Matrix:
@@ -156,7 +253,10 @@ class Matrix:
         return pivots
 
     def rank(self) -> int:
-        return len(self._echelon(self.to_lists()))
+        rows = _distinct_nonzero_rows(self.to_lists())
+        if self.field is FIELD_LRAT:
+            return _rank_by_evaluation(rows, self.cols)
+        return len(_forward(rows, self.cols)[0])
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column, in column order."""
@@ -176,61 +276,28 @@ class Matrix:
         return basis
 
     def determinant(self):
+        """The signed product of the pivots of forward elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = self.to_lists()
-        n = self.rows
-        z = self.field.zero
+        pivots, swaps = _forward(self.to_lists(), self.cols)
+        if len(pivots) < self.rows:
+            return self.field.zero
         det = self.field.one
-        for pc in range(n):
-            pivot = None
-            for r in range(pc, n):
-                if not m[r][pc].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                return z
-            if pivot != pc:
-                m[pc], m[pivot] = m[pivot], m[pc]
-                det = -det
-            det = det * m[pc][pc]
-            inv = 1 / m[pc][pc]
-            for r in range(pc + 1, n):
-                f = m[r][pc]
-                if f.is_zero():
-                    continue
-                m[r] = [a - f * inv * b for a, b in zip(m[r], m[pc])]
-        return det
+        for p in pivots:
+            det = det * p
+        return -det if swaps % 2 else det
 
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         z, one = self.field.zero, self.field.one
-        m = [list(self.row(r)) + [one if c == r else z for c in range(n)] for r in range(n)]
-        pr = 0
-        for pc in range(n):
-            pivot = None
-            for r in range(pr, n):
-                if not m[r][pc].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                raise Singular("matrix is singular")
-            if pivot != pr:
-                m[pr], m[pivot] = m[pivot], m[pr]
-            inv = 1 / m[pr][pc]
-            m[pr] = [inv * e for e in m[pr]]
-            for r in range(n):
-                if r == pr:
-                    continue
-                f = m[r][pc]
-                if f.is_zero():
-                    continue
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
-            pr += 1
-        flat = [m[r][n + c] for r in range(n) for c in range(n)]
-        return Matrix(n, n, flat, self.field)
+        aug = Matrix.from_rows([list(self.row(r)) + [one if c == r else z for c in range(n)]
+                                for r in range(n)], self.field)
+        m = aug.to_lists()
+        if aug._echelon(m) != list(range(n)):
+            raise Singular("matrix is singular")
+        return Matrix(n, n, [e for row in m for e in row[n:]], self.field)
 
     def solve(self, rhs):
         """One solution x of self @ x = rhs, or None if inconsistent."""
@@ -250,9 +317,3 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(r)) for r in range(self.rows))
         return f"Matrix[{body}]"
-
-
-def matrix_over_trat(m: Matrix) -> Matrix:
-    if m.field is FIELD_TRAT:
-        return m
-    return m.map_entries(as_trat, FIELD_TRAT)

@@ -16,10 +16,6 @@ def pstrip(cs) -> tuple:
     return tuple(cs)
 
 
-def pdeg(a) -> int:
-    return len(a) - 1  # -1 for the zero polynomial
-
-
 def padd(a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
@@ -31,9 +27,6 @@ def padd(a, b) -> tuple:
 
 def pneg(a) -> tuple:
     return tuple(-c for c in a)
-
-def psub(a, b) -> tuple:
-    return padd(a, pneg(b))
 
 
 def pmul(a, b, zero) -> tuple:
@@ -74,8 +67,14 @@ def pdivmod(a, b, zero) -> tuple:
 
 
 def pgcd(a, b, zero) -> tuple:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm.
+
+    A nonzero constant operand makes the gcd 1 at once: most calls reduce a
+    fraction over the denominator 1, and need neither a division nor the
+    inverse of a coefficient."""
     a, b = pstrip(a), pstrip(b)
+    if len(a) == 1 or len(b) == 1:
+        return (zero + 1,)
     while b:
         _, r = pdivmod(a, b, zero)
         a, b = b, r

@@ -12,7 +12,6 @@ PASS = "pass"
 FAIL = "fail"
 UNDETERMINED = "undetermined"
 UNSUPPORTED = "unsupported"
-INFO = "info"
 
 
 @dataclass

@@ -174,14 +174,6 @@ def as_lrat(x) -> LambdaRat:
     return o
 
 
-def scalar_is_constant(x) -> bool:
-    return isinstance(x, Cyclo8) or x.is_constant()
-
-
-def scalar_constant_value(x) -> Cyclo8:
-    return x if isinstance(x, Cyclo8) else x.constant_value()
-
-
 def scalar_substitute(x, value: Cyclo8) -> Cyclo8:
     """Evaluate a scalar at l = value (a no-op for plain Cyclo8)."""
     return x if isinstance(x, Cyclo8) else x.substitute(value)

@@ -65,10 +65,6 @@ class TRat:
         return cls._reduced(_as_tpoly(c), _ONE_POLY)
 
     @classmethod
-    def from_tpoly(cls, coeffs) -> "TRat":
-        return cls(coeffs)
-
-    @classmethod
     def var(cls) -> "TRat":
         return cls._reduced((C8_ZERO, C8_ONE), _ONE_POLY)
 
@@ -85,11 +81,6 @@ class TRat:
 
     def is_tpoly(self) -> bool:
         return self.den == _ONE_POLY
-
-    def tpoly_coeffs(self) -> tuple:
-        if not self.is_tpoly():
-            raise ValueError(f"{self} is not polynomial in t")
-        return self.num
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den == _ONE_POLY

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superdegen.cli import main
 
 
@@ -141,3 +143,24 @@ def test_corrupted_entry_fails_naming_it(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 1
     assert "(5|0)" in out
+
+
+@pytest.mark.parametrize("value, why", [("abc", "bad character"), ("1/0", "inverse of 0")])
+def test_fingerprint_bad_lambda_is_a_typed_error(capsys, value, why):
+    code = main(["fingerprint", "(18;l|0)", "--lambda", value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and why in err
+
+
+def test_diagram_unwritable_out_fails_before_building(capsys, tmp_path, monkeypatch):
+    import superdegen.cli as cli
+
+    def no_build(catalog):
+        raise AssertionError("graph built for an unwritable output path")
+
+    monkeypatch.setattr(cli, "load_default_graph", no_build)
+    code = main(["diagram", "--component", "2", "--out", str(tmp_path / "missing" / "x.dot")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ")

@@ -1,9 +1,15 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superdegen.cyclo import Cyclo8
-from superdegen.linalg import FIELD_C8, FIELD_TRAT, Matrix, Singular
+from superdegen.certs import load_cert_file
+from superdegen.cyclo import ZETA, Cyclo8
+from superdegen.invariants import derivation_system
+from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular
+from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.tpoly import T_VAR
 
 
@@ -80,3 +86,146 @@ def test_rank_permutation_invariance():
     rng.shuffle(perm)
     assert M([rows[p] for p in perm]).rank() == r
     assert M([[rows[i][p] for p in perm] for i in range(4)]).rank() == r
+
+
+def _reference_rank(m):
+    """Gauss-Jordan rank: every pivot row normalised, its column cleared above
+    and below, no row dropped.  The reference the forward-only rank and the
+    rank by evaluation over Q(z)(l) are checked against."""
+    rows = m.to_lists()
+    pr = 0
+    for pc in range(m.cols):
+        pivot = next((r for r in range(pr, len(rows)) if not rows[r][pc].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [inv * e for e in rows[pr]]
+        for r in range(len(rows)):
+            f = rows[r][pc]
+            if r != pr and not f.is_zero():
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pr += 1
+        if pr == len(rows):
+            break
+    return pr
+
+
+def _leibniz_determinant(m):
+    n = m.rows
+    det = m.field.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = m.field.one
+        for r in range(n):
+            term = term * m.at(r, perm[r])
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
+def test_rank_matches_reference_on_catalog_derivation_systems(catalog):
+    for e in catalog.entries.values():
+        for graded in (True, False):
+            m = Matrix.from_rows(derivation_system(e.sc, graded), e.sc.field)
+            assert m.rank() == _reference_rank(m), (e.label, graded)
+
+
+L = LAMBDA
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[L, 0], [0, L - 1]], 2),  # rank 1 at l = 0 and l = 1
+    ([[L * (L - 1) * (L - 2), 1], [0, 0]], 1),
+    ([[L * (L - 1) * (L - 2)]], 1),  # rank 0 at l = 0, 1, 2
+    ([[L * (L - 1), 0, 0], [0, L - 2, 0], [0, 0, L * L - 5 * L + 6]], 3),
+    ([[1 / (L - 1), 1 / L], [1, 1]], 2),  # denominators that vanish at evaluation points
+    ([[L / (L + 1), 1], [L * (L - 1), L * L - 1]], 1),  # second row is l^2 - 1 times the first
+    ([[0, 0], [0, 0]], 0),
+])
+def test_rank_over_lambda_pinned(rows, rank):
+    m = Matrix.from_rows(rows, FIELD_LRAT)
+    assert m.rank() == rank == _reference_rank(m)
+
+
+_FACTORS = (L, L - 1, L - 2, L + ZETA, L * L + 1)
+
+
+@st.composite
+def _lrat_entries(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return LambdaRat.from_const(0)
+    x = LambdaRat.from_const(Cyclo8(draw(st.integers(-3, 3)) or 1, draw(st.integers(-1, 1))))
+    for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=2)):
+        x = x * f
+    for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=1)):
+        x = x / f
+    return x
+
+
+@st.composite
+def _planted_rank_matrices(draw):
+    """B * C with C of k rows, so rank at most k; then zero rows and copies
+    of rows are mixed in.  Entries have l-degree up to 2 and denominators."""
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    b = [[draw(_lrat_entries()) for _ in range(k)] for _ in range(m)]
+    c = [[draw(_lrat_entries()) for _ in range(n)] for _ in range(k)]
+    rows = [[sum((b[i][j] * c[j][col] for j in range(k)), LambdaRat.from_const(0)) for col in range(n)]
+            for i in range(m)]
+    rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
+    rows += [[LambdaRat.from_const(0)] * n for _ in range(draw(st.integers(0, 2)))]
+    return k, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_planted_rank_matrices())
+def test_rank_over_lambda_matches_reference(planted):
+    k, rows = planted
+    m = Matrix.from_rows(rows, FIELD_LRAT)
+    rank = m.rank()
+    assert rank == _reference_rank(m)
+    assert rank <= k
+
+
+def test_rank_agrees_with_sympy(catalog):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    zeta = sympy.sqrt(2) / 2 + sympy.I * sympy.sqrt(2) / 2
+    k = sympy.QQ.algebraic_field(zeta)
+    powers = [k.from_sympy(zeta ** i) for i in range(4)]
+    ring = k[sympy.Symbol("l")]
+    frac = ring.get_field()
+
+    def in_k(x):
+        return sum((k.convert(sympy.QQ(a, x.d)) * p for a, p in zip(x.c, powers)), k.zero)
+
+    def in_ring(poly):
+        return sum((ring.convert_from(in_k(c), k) * ring.gens[0] ** i for i, c in enumerate(poly)), ring.zero)
+
+    for label, graded in (("(13|1)", True), ("(9|0)", True), ("(16|1)", False), ("(18;l|2)", True)):
+        sc = catalog.entry(label).sc
+        rows = derivation_system(sc, graded)
+        if sc.field is FIELD_LRAT:
+            dom, conv = frac, lambda x: frac.convert(in_ring(x.num)) / frac.convert(in_ring(x.den))
+        else:
+            dom, conv = k, in_k
+        oracle = DomainMatrix([[conv(x) for x in row] for row in rows], (len(rows), len(rows[0])), dom)
+        assert Matrix.from_rows(rows, sc.field).rank() == oracle.rank(), (label, graded)
+
+
+def test_determinant_and_inverse_of_certificate_curves():
+    curves = [c.curve for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    assert len(curves) == 43
+    for g in curves:
+        assert g.determinant() == _leibniz_determinant(g)
+        assert g * g.inverse() == Matrix.identity(g.rows, FIELD_TRAT)
+
+
+def test_determinant_matches_leibniz_on_random_matrices():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = [[Cyclo8(rng.randint(-2, 2), rng.randint(-1, 1)) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(n)]
+        m = M(rows)
+        assert m.determinant() == _leibniz_determinant(m)

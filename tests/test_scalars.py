@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from superdegen.cyclo import Cyclo8, ZETA
+from superdegen.cyclo import C8_ZERO, Cyclo8, ZETA
 from superdegen.literals import ParseError, parse_scalar
+from superdegen.polys import pgcd
 from superdegen.scalars import LAMBDA, LambdaRat, as_lrat, lrat_literal
 
 
@@ -74,3 +75,13 @@ def test_parse_errors():
     for bad in ("", "1 +", "q", "((1)", "1//2", "l^x"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+
+def test_pgcd_with_a_constant_operand_is_one():
+    one = (Cyclo8(1),)
+    p = (Cyclo8(2), Cyclo8(0, 3), Cyclo8(1))
+    assert pgcd(p, (Cyclo8(5),), C8_ZERO) == one
+    assert pgcd((ZETA,), p, C8_ZERO) == one
+    assert pgcd((ZETA,), (), C8_ZERO) == one
+    # a nonconstant common factor is still found, monic
+    assert pgcd((Cyclo8(-2), Cyclo8(2)), (Cyclo8(-3), Cyclo8(0), Cyclo8(3)), C8_ZERO) == (Cyclo8(-1), Cyclo8(1))
