@@ -31,6 +31,10 @@ class CatalogParseError(CatalogError):
     pass
 
 
+class CatalogReadError(CatalogError):
+    """The catalog file named by --catalog or SUPERDEGEN_CATALOG cannot be read."""
+
+
 class ValidationError(CatalogError):
     pass
 
@@ -239,8 +243,13 @@ def load_catalog(source=None) -> Catalog:
     if source is None:
         text = resources.files("superdegen.data").joinpath("catalog.json").read_text("utf-8")
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CatalogReadError(f"cannot read catalog {source}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CatalogParseError(f"catalog {source} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

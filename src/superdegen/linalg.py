@@ -12,20 +12,35 @@ the rank (the number of pivots) and the determinant (their signed product).
 
 Rank over Q(z)(l) is taken by evaluation, with a certificate.  Multiply
 each row by the lcm of its denominators; the rank does not change, and
-every entry becomes a polynomial in l of degree at most d.  At any l = l0
-the rank of the evaluated matrix is a lower bound on the rank over Q(z)(l),
-because a minor that is nonzero at l0 is nonzero as a polynomial.  Let r be
-the largest rank seen so far.  Every (r+1)-minor is a polynomial of degree
-at most (r+1)*d; if it vanishes at (r+1)*d + 1 distinct points it is the
-zero polynomial.  So once that many points have been evaluated, all giving
-rank at most r, the rank over Q(z)(l) is exactly r.  The points are
-l = 0, 1, 2, ... in turn; evaluation stops early once r = min(rows, cols).
+every entry becomes a polynomial in l of degree at most d.
+
+Rows that are constant in l are eliminated once, over Q(z): let r_c be
+their rank.  Each remaining (moving) row is reduced by the constant pivot
+rows, in pivot order, by adding a multiple of a pivot row to it.  Adding a
+Q(z)(l)-multiple of one row to another keeps the rank, and because the
+pivot rows are constant the reduced entries stay polynomials of degree at
+most d.  Put the pivot columns first: the constant pivot rows are then
+upper triangular with a nonzero diagonal on those columns, and the reduced
+moving rows are zero there.  The matrix is block triangular, so its rank is
+r_c + r', where r' is the rank of the residual: the reduced moving rows
+restricted to the columns without a constant pivot.
+
+The residual's rank is certified by evaluation.  Let d be the largest
+degree of its entries.  At any l = l0 the rank of the evaluated residual is
+a lower bound on its rank over Q(z)(l), because a minor that is nonzero at
+l0 is nonzero as a polynomial.  Let r' be the largest rank seen so far.
+Every (r'+1)-minor is a polynomial of degree at most (r'+1)*d; if it
+vanishes at (r'+1)*d + 1 distinct points it is the zero polynomial.  So
+once that many points have been evaluated, all giving rank at most r', the
+residual's rank over Q(z)(l) is exactly r'.  The points are l = 0, 1, 2,
+... in turn; evaluation stops early once r' = min(rows, cols) of the
+residual.
 """
 
 from __future__ import annotations
 
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
-from .polys import pdivmod, peval, pgcd, pmul
+from .polys import padd, pdivmod, peval, pgcd, pmul, pscale
 from .scalars import LRAT_ONE, LRAT_ZERO, as_lrat
 from .tpoly import TRAT_ONE, TRAT_ZERO, as_trat
 
@@ -87,9 +102,10 @@ def _forward(m, cols):
 
     Each pivot clears its column below itself only, and pivot rows are not
     normalised.  Entries left of the pivot in rows below it are not updated:
-    no later step reads them.  Returns the pivot values in order and the
-    number of row swaps."""
-    pivots, swaps = [], 0
+    no later step reads them, so a pivot row may hold stale nonzero entries
+    left of its pivot.  Returns the pivot columns in order (the pivot of row
+    i is m[i][pivot_cols[i]]) and the number of row swaps."""
+    pivot_cols, swaps = [], 0
     pr = 0
     for pc in range(cols):
         pivot = next((r for r in range(pr, len(m)) if not m[r][pc].is_zero()), None)
@@ -109,11 +125,11 @@ def _forward(m, cols):
             f = a * inv
             for c, b in tail:
                 row[c] = row[c] - f * b
-        pivots.append(prow[pc])
+        pivot_cols.append(pc)
         pr += 1
         if pr == len(m):
             break
-    return pivots, swaps
+    return pivot_cols, swaps
 
 
 def _cleared_row(row):
@@ -129,16 +145,36 @@ def _cleared_row(row):
 
 def _rank_by_evaluation(rows, cols):
     """Rank over Q(z)(l) of nonzero LambdaRat rows, certified as the module
-    docstring explains.  Only one point's evaluated rows are held at a time."""
-    polys = [_cleared_row(row) for row in rows]
-    d = max((len(p) - 1 for row in polys for p in row), default=0)
-    full = min(len(polys), cols)
+    docstring explains.  Only one point's evaluated residual is held at a time."""
+    const, moving = [], []
+    for row in rows:
+        polys = _cleared_row(row)
+        if all(len(p) <= 1 for p in polys):
+            const.append([p[0] if p else C8_ZERO for p in polys])
+        else:
+            moving.append(polys)
+    pivot_cols, _ = _forward(const, cols)
+    # pivot rows may hold stale entries left of their pivot; only their
+    # pivot and the entries right of it are read
+    for prow, pc in zip(const, pivot_cols):
+        inv = prow[pc].inverse()
+        tail = [(c, -prow[c] * inv) for c in range(pc + 1, cols) if not prow[c].is_zero()]
+        for row in moving:
+            a = row[pc]
+            if a:
+                for c, f in tail:
+                    row[c] = padd(row[c], pscale(a, f))
+    pivots = set(pivot_cols)
+    free = [c for c in range(cols) if c not in pivots]
+    residual = [res for res in ([row[c] for c in free] for row in moving) if any(res)]
+    d = max((len(p) - 1 for row in residual for p in row), default=0)
+    full = min(len(residual), len(free))
     r = points = 0
     while r < full and points < (r + 1) * d + 1:
-        at = [[peval(p, points, C8_ZERO) for p in row] for row in polys]
-        r = max(r, len(_forward(at, cols)[0]))
+        at = [[peval(p, points, C8_ZERO) for p in row] for row in residual]
+        r = max(r, len(_forward(at, len(free))[0]))
         points += 1
-    return r
+    return len(pivot_cols) + r
 
 
 class Matrix:
@@ -279,12 +315,13 @@ class Matrix:
         """The signed product of the pivots of forward elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, swaps = _forward(self.to_lists(), self.cols)
-        if len(pivots) < self.rows:
+        m = self.to_lists()
+        pivot_cols, swaps = _forward(m, self.cols)
+        if len(pivot_cols) < self.rows:
             return self.field.zero
         det = self.field.one
-        for p in pivots:
-            det = det * p
+        for row, pc in zip(m, pivot_cols):
+            det = det * row[pc]
         return -det if swaps % 2 else det
 
     def inverse(self):

@@ -48,22 +48,22 @@ def pscale(a, s) -> tuple:
 
 
 def pdivmod(a, b, zero) -> tuple:
+    """Quotient and remainder of a by b; b must have no trailing zero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
+    a = list(pstrip(a))
     q = [zero] * max(0, len(a) - len(b) + 1)
     inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and pstrip(a):
-        a = list(pstrip(a))
-        if len(a) < len(b):
-            break
+    low = b[:-1]
+    while len(a) >= len(b):
         k = len(a) - len(b)
-        f = a[-1] * inv_lead
-        q[k] = q[k] + f
-        for i, c in enumerate(b):
+        f = a.pop() * inv_lead
+        q[k] = f
+        for i, c in enumerate(low):
             a[k + i] = a[k + i] - f * c
-        a.pop()
-    return pstrip(q), pstrip(a)
+        while a and a[-1].is_zero():
+            a.pop()
+    return tuple(q), tuple(a)
 
 
 def pgcd(a, b, zero) -> tuple:

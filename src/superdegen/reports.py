@@ -1,17 +1,22 @@
 """Uniform run reports for the command line: per-item verdicts, counts,
 exit code 0 exactly when nothing failed (undetermined and unsupported
 items do not fail a run).  Output is deterministic; wall-clock time is
-carried on the object but only rendered on request."""
+carried on the object but only rendered on request, together with the
+Python version and the arithmetic backend the run used."""
 
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
 UNDETERMINED = "undetermined"
 UNSUPPORTED = "unsupported"
+
+# the one arithmetic backend: Cyclo8 over Python ints
+BACKEND = "python-int"
 
 
 @dataclass
@@ -41,8 +46,11 @@ class RunReport:
             "counts": self.counts,
             "exit_code": self.exit_code,
         }
-        if with_timing and self.elapsed is not None:
-            payload["elapsed_seconds"] = round(self.elapsed, 3)
+        if with_timing:
+            if self.elapsed is not None:
+                payload["elapsed_seconds"] = round(self.elapsed, 3)
+            payload["python"] = platform.python_version()
+            payload["backend"] = BACKEND
         return json.dumps(payload, indent=1)
 
     def to_text(self, with_timing=False) -> str:
@@ -55,6 +63,8 @@ class RunReport:
             lines.append(line.rstrip())
         summary = ", ".join(f"{v} {k}" for k, v in sorted(self.counts.items()))
         lines.append(f"[{self.command}] {summary or 'nothing to do'}; exit {self.exit_code}")
-        if with_timing and self.elapsed is not None:
-            lines.append(f"elapsed: {self.elapsed:.2f}s")
+        if with_timing:
+            if self.elapsed is not None:
+                lines.append(f"elapsed: {self.elapsed:.2f}s")
+            lines.append(f"python {platform.python_version()}, backend {BACKEND}")
         return "\n".join(lines) + "\n"

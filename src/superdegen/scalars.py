@@ -3,7 +3,9 @@
 A "scalar" anywhere in this package is either a Cyclo8 or a LambdaRat; the
 two coerce automatically in mixed arithmetic, with Cyclo8 promoting into
 LambdaRat.  Rational functions are kept reduced with a monic denominator at
-every step, so structural equality is semantic equality.
+every step, so structural equality is semantic equality.  A sum, difference
+or product of two polynomials (denominator 1) is built without the gcd: the
+denominator 1 is monic and prime to any numerator, so it is already reduced.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ class LambdaRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den) == 1 and len(o.den) == 1:
+            return LambdaRat._reduced(padd(self.num, o.num), _ONE_POLY)
         if self.den == o.den:
             return LambdaRat(padd(self.num, o.num), self.den)
         num = padd(pmul(self.num, o.den, C8_ZERO), pmul(o.num, self.den, C8_ZERO))
@@ -110,6 +114,8 @@ class LambdaRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den) == 1 and len(o.den) == 1:
+            return LambdaRat._reduced(padd(self.num, pneg(o.num)), _ONE_POLY)
         return self + (-o)
 
     def __rsub__(self, other):
@@ -122,6 +128,8 @@ class LambdaRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self.den) == 1 and len(o.den) == 1:
+            return LambdaRat._reduced(pmul(self.num, o.num, C8_ZERO), _ONE_POLY)
         return LambdaRat(pmul(self.num, o.num, C8_ZERO), pmul(self.den, o.den, C8_ZERO))
 
     __rmul__ = __mul__

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import pytest
 
@@ -164,3 +165,42 @@ def test_diagram_unwritable_out_fails_before_building(capsys, tmp_path, monkeypa
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_missing_catalog_file_is_a_typed_error(capsys, tmp_path, monkeypatch, via):
+    missing = str(tmp_path / "nonexistent.json")
+    if via == "flag":
+        argv = ["--catalog", missing, "tables", "--kind", "stab"]
+    else:
+        monkeypatch.setenv("SUPERDEGEN_CATALOG", missing)
+        argv = ["tables", "--kind", "stab"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot read catalog ") and missing in captured.err
+    assert captured.out == ""
+
+
+def test_catalog_file_that_is_not_text_is_a_typed_error(capsys, tmp_path):
+    p = tmp_path / "binary.json"
+    p.write_bytes(b"\xff\xfe\x00[")
+    code = main(["--catalog", str(p), "tables", "--kind", "stab"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+
+
+def test_timing_stamps_python_and_backend(capsys):
+    _, plain = run(capsys, "check", "family_limits")
+    _, timed = run(capsys, "--timing", "check", "family_limits")
+    stamp = f"python {platform.python_version()}, backend python-int"
+    assert timed.splitlines()[-1] == stamp
+    assert "elapsed" not in plain and stamp not in plain
+    _, plain_json = run(capsys, "--json", "check", "family_limits")
+    _, timed_json = run(capsys, "--json", "--timing", "check", "family_limits")
+    payload = json.loads(timed_json)
+    assert payload["python"] == platform.python_version() and payload["backend"] == "python-int"
+    assert "python" not in json.loads(plain_json) and "backend" not in json.loads(plain_json)
+    assert {k: v for k, v in payload.items() if k not in ("python", "backend", "elapsed_seconds")} \
+        == json.loads(plain_json)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from superdegen.certs import load_cert_file
 from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.invariants import derivation_system
-from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular
+from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular, _forward
 from superdegen.scalars import LAMBDA, LambdaRat
+from superdegen.structure import random_group_element, transport
 from superdegen.tpoly import T_VAR
 
 
@@ -184,6 +185,83 @@ def test_rank_over_lambda_matches_reference(planted):
     rank = m.rank()
     assert rank == _reference_rank(m)
     assert rank <= k
+
+
+def test_residual_rank_reads_the_pivot_columns_of_forward():
+    # after _forward, the constant pivot rows keep stale nonzero entries left
+    # of their pivots; a rank that re-scanned a pivot row for its first
+    # nonzero entry would take column 0 for all three and miss the rank
+    const = [[Cyclo8(x) for x in row] for row in ([1, 1, 0, 0], [1, 0, 0, -1], [1, 0, 0, 0])]
+    pivot_cols, _ = _forward(const, 4)
+    assert pivot_cols == [0, 1, 3]
+    assert not const[1][0].is_zero() and not const[2][0].is_zero()
+    m = Matrix.from_rows([[1, 1, 0, 0], [1, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, L]], FIELD_LRAT)
+    assert m.rank() == 3 == _reference_rank(m)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    # all rows constant in l: no evaluation at all
+    ([[1, 2, 0], [2, 4, 0], [0, ZETA, 1]], 2),
+    ([[1, ZETA], [ZETA, 1]], 2),
+    # constant only once denominators are cleared
+    ([[1 / (L + 1), 2 / (L + 1)], [1, 2], [L, 1]], 2),
+    # every row moving
+    ([[L, L * L], [L * L, L ** 3]], 1),
+    ([[L, 1], [1, L]], 2),
+    ([[L * L - 1, L - 1], [L + 1, 1]], 1),
+    # moving rows of l-degree above 1, with denominators, over constant pivots
+    ([[1, 1, 0, 0], [0, 0, 1, ZETA], [L * L, L, L ** 3 / (L - 2), 1 / (L + 1)],
+      [L, L, 0, L * L / (L - 1)]], 4),
+    ([[1, 0, 1], [0, 1, 1], [L * L / (L + 1), L ** 3, L * L / (L + 1) + L ** 3]], 2),
+    ([[1, 0, 0], [L * L, (L - 1) / (L * L + 1), 0], [L ** 3, 0, (L - 1) / (L * L + 1)]], 3),
+])
+def test_residual_rank_pinned(rows, rank):
+    m = Matrix.from_rows(rows, FIELD_LRAT)
+    assert m.rank() == rank == _reference_rank(m)
+
+
+_CONSTANTS = (0, 1, -1, 2, ZETA, 1 - ZETA)
+
+
+@st.composite
+def _planted_rank_matrices_with_constant_rows(draw):
+    """B * C of rank at most k, where the first kc rows of C are constant in
+    l and some rows of B combine only those with constant coefficients, so
+    a share of the product's rows is constant; then zero rows and copies."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    kc = draw(st.integers(1, k))
+    const = lambda: LambdaRat.from_const(draw(st.sampled_from(_CONSTANTS)))
+    c = [[const() for _ in range(n)] for _ in range(kc)]
+    c += [[draw(_lrat_entries()) for _ in range(n)] for _ in range(k - kc)]
+    b = [[const() if j < kc else LambdaRat.from_const(0) for j in range(k)]
+         for _ in range(draw(st.integers(1, 3)))]
+    b += [[draw(_lrat_entries()) for _ in range(k)] for _ in range(draw(st.integers(0, 3)))]
+    rows = [[sum((bi[j] * c[j][col] for j in range(k)), LambdaRat.from_const(0)) for col in range(n)]
+            for bi in b]
+    rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
+    rows += [[LambdaRat.from_const(0)] * n for _ in range(draw(st.integers(0, 1)))]
+    return k, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_planted_rank_matrices_with_constant_rows())
+def test_residual_rank_with_constant_rows_matches_reference(planted):
+    k, rows = planted
+    m = Matrix.from_rows(rows, FIELD_LRAT)
+    rank = m.rank()
+    assert rank == _reference_rank(m)
+    assert rank <= k
+
+
+def test_rank_matches_reference_on_transported_family_systems(catalog):
+    rng = random.Random(17)
+    for j in range(3):
+        sc = catalog.entry(f"(18;l|{j})").sc
+        for _ in range(2):
+            moved = transport(random_group_element(rng, 4, sc.field), sc)
+            for graded in (True, False):
+                m = Matrix.from_rows(derivation_system(moved, graded), moved.field)
+                assert m.rank() == _reference_rank(m), (j, graded)
 
 
 def test_rank_agrees_with_sympy(catalog):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from superdegen.cyclo import C8_ZERO, Cyclo8, ZETA
+from superdegen.cyclo import C8_ONE, C8_ZERO, Cyclo8, ZETA
 from superdegen.literals import ParseError, parse_scalar
-from superdegen.polys import pgcd
+from superdegen.polys import padd, pdivmod, pgcd, pmul, pneg, pstrip
 from superdegen.scalars import LAMBDA, LambdaRat, as_lrat, lrat_literal
 
 
@@ -85,3 +87,79 @@ def test_pgcd_with_a_constant_operand_is_one():
     assert pgcd((ZETA,), (), C8_ZERO) == one
     # a nonconstant common factor is still found, monic
     assert pgcd((Cyclo8(-2), Cyclo8(2)), (Cyclo8(-3), Cyclo8(0), Cyclo8(3)), C8_ZERO) == (Cyclo8(-1), Cyclo8(1))
+
+
+def _reference_pdivmod(a, b, zero):
+    """The earlier division loop, which stripped a twice on every turn: the
+    reference for polys.pdivmod."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / b[-1]
+    while len(a) >= len(b) and pstrip(a):
+        a = list(pstrip(a))
+        if len(a) < len(b):
+            break
+        k = len(a) - len(b)
+        f = a[-1] * inv_lead
+        q[k] = q[k] + f
+        for i, c in enumerate(b):
+            a[k + i] = a[k + i] - f * c
+        a.pop()
+    return pstrip(q), pstrip(a)
+
+
+_coeffs = st.builds(Cyclo8, st.integers(-4, 4), st.integers(-2, 2), st.integers(-1, 1), st.integers(-1, 1))
+_polys = st.lists(_coeffs, max_size=6)
+
+
+def _deg(p):
+    return len(pstrip(p)) - 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polys, _polys.map(pstrip).filter(bool))
+@example([Cyclo8(0), Cyclo8(0)], (Cyclo8(1),))  # a dividend with trailing zeros
+@example([Cyclo8(1), Cyclo8(2), Cyclo8(1)], (Cyclo8(1), Cyclo8(1)))  # exact division
+def test_pdivmod_matches_reference(a, b):
+    q, r = pdivmod(a, b, C8_ZERO)
+    assert padd(pmul(q, b, C8_ZERO), r) == pstrip(a)
+    assert _deg(r) < _deg(b)
+    assert q == pstrip(q) and r == pstrip(r)
+    assert (q, r) == _reference_pdivmod(a, b, C8_ZERO)
+
+
+def test_pdivmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        pdivmod((Cyclo8(1),), (), C8_ZERO)
+
+
+_lpolys = st.lists(_coeffs, max_size=4).map(pstrip)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lpolys, _lpolys)
+def test_polynomial_arithmetic_is_canonical(a, b):
+    # denominator 1 on both sides: the results skip normalisation, and must
+    # equal what the normalising constructor builds
+    x, y = LambdaRat(a), LambdaRat(b)
+    for got, num in ((x + y, padd(a, b)), (x - y, padd(a, pneg(b))), (x * y, pmul(a, b, C8_ZERO))):
+        want = LambdaRat(num, (C8_ONE,))
+        assert got.num == want.num and got.den == want.den
+        assert lrat_literal(got) == lrat_literal(want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_lpolys, _lpolys, _lpolys.filter(lambda d: len(d) > 1))
+@example((Cyclo8(-1), Cyclo8(0), Cyclo8(1)), (Cyclo8(1),), (Cyclo8(-2), Cyclo8(2)))  # (l^2-1) * 1/(2l-2)
+def test_mixed_operands_are_normalised(a, b, den):
+    # one operand with a nonconstant denominator: the result is reduced and monic
+    x, y = LambdaRat(a), LambdaRat(b, den)
+    for got, num, d in ((x + y, padd(pmul(a, y.den, C8_ZERO), y.num), y.den),
+                        (y - x, padd(y.num, pneg(pmul(a, y.den, C8_ZERO))), y.den),
+                        (x * y, pmul(a, y.num, C8_ZERO), y.den)):
+        want = LambdaRat(num, d)
+        assert got.num == want.num and got.den == want.den
+        assert not got.num or (got.den[-1] == 1 and len(pgcd(got.num, got.den, C8_ZERO)) == 1)
+        assert lrat_literal(got) == lrat_literal(want)
