@@ -160,9 +160,6 @@ class Catalog:
             raise UnknownLabel(f"no catalog entry {label!r}")
         return self.entries[label]
 
-    def by_component(self, component: int):
-        return [e for e in self.entries.values() if e.component == component]
-
     def get(self, label: str, lambda_value=None) -> StructureConstants:
         """Structure constants of an entry, with the family parameter substituted
         when one is supplied.  Substitution at -1, 0, 1 is refused: those values

@@ -29,7 +29,7 @@ from .catalog import Catalog, UnknownLabel
 from .cyclo import Cyclo8
 from .invariants import closed_set_member, orbit_dim
 from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix
-from .literals import parse_scalar
+from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat
 from .structure import NotInGroup, StructureConstants, group_element, transport, validate
 from .tpoly import TRat, as_trat, substitute_lambda
@@ -200,7 +200,10 @@ def verify_specialization(cert: SpecializationCert, catalog: Catalog,
 def verify_family_limit(cert: SpecializationCert, catalog: Catalog) -> Outcome:
     if not cert.is_family_limit:
         return Outcome(NOT_VERIFIED, "substitution", "certificate carries no parameter substitution")
-    entry = catalog.entry(cert.source)
+    try:
+        entry = catalog.entry(cert.source)
+    except UnknownLabel as exc:
+        return Outcome(NOT_VERIFIED, "labels", str(exc))
     if not entry.parametric:
         return Outcome(NOT_VERIFIED, "substitution", f"{cert.source} is not a family")
     return verify_specialization(cert, catalog)
@@ -274,77 +277,124 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
 
 # ------------------------------------------------------------- file format
 
-def _parse_group_matrix(lits, n, field):
+_REQUIRED = object()
+_JSON_TYPES = {str: "string", list: "array", dict: "object", int: "number", float: "number", bool: "boolean"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _field(rec, key, kind, default=_REQUIRED):
+    """rec[key] checked against the JSON type `kind` (str or list); a missing
+    or null optional field gives `default`."""
+    value = rec.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise CertFormatError(f"field {key!r}: missing")
+        return default
+    if type(value) is not kind:
+        raise CertFormatError(f"field {key!r}: expected {_JSON_TYPES[kind]}, got {_json_type(value)}")
+    return value
+
+
+def _literal(key, lit):
+    try:
+        return parse_scalar(lit)
+    except (ParseError, ZeroDivisionError) as exc:
+        raise CertFormatError(f"field {key!r}: bad literal {lit!r}: {exc}") from exc
+
+
+def _literals(rec, key, n):
+    """The n*n scalar literals of a matrix field, or None when it is absent."""
+    lits = _field(rec, key, list, None)
     if lits is None:
         return None
     if len(lits) != n * n:
-        raise CertFormatError(f"matrix needs {n * n} literals, got {len(lits)}")
+        raise CertFormatError(f"field {key!r}: needs {n * n} literals, got {len(lits)}")
+    if not all(isinstance(lit, str) for lit in lits):
+        raise CertFormatError(f"field {key!r}: every entry must be a string literal")
+    return [_literal(key, lit) for lit in lits]
+
+
+def _parse_group_matrix(rec, key, n, field):
+    values = _literals(rec, key, n)
+    if values is None:
+        return None
     entries = []
-    for lit in lits:
-        v = parse_scalar(lit)
+    for lit, v in zip(rec[key], values):
         try:
             entries.append(field.lift(v))
         except TypeError as exc:
-            raise CertFormatError(f"matrix entry {lit!r} does not lie in {field.name}") from exc
+            raise CertFormatError(f"field {key!r}: entry {lit!r} does not lie in {field.name}") from exc
     return Matrix(n, n, entries, field)
 
 
-def _parse_curve(lits, n):
-    if len(lits) != n * n:
-        raise CertFormatError(f"curve needs {n * n} literals, got {len(lits)}")
-    entries = []
-    for lit in lits:
-        v = as_trat(parse_scalar(lit))
+def _parse_curve(rec, n):
+    values = _literals(rec, "curve", n)
+    if values is None:
+        return Matrix.identity(n, FIELD_TRAT)
+    entries = [as_trat(v) for v in values]
+    for lit, v in zip(rec["curve"], entries):
         if not v.is_tpoly():
-            raise CertFormatError(f"curve entry {lit!r} is not polynomial in t")
-        entries.append(v)
+            raise CertFormatError(f"field 'curve': entry {lit!r} is not polynomial in t")
     return Matrix(n, n, entries, FIELD_TRAT)
 
 
 def cert_from_record(rec: dict, n: int = 4):
+    """One certificate from its JSON record; CertFormatError names the field
+    of any record that does not follow data/schema.md."""
+    if not isinstance(rec, dict):
+        raise CertFormatError(f"expected an object, got {_json_type(rec)}")
     kind = rec.get("kind")
-    expected = rec.get("expected", VERIFIED)
-    note = rec.get("note", "")
+    if kind not in ("obstruction", "specialization", "family_limit"):
+        raise CertFormatError(f"unknown certificate kind {kind!r}")
+    common = dict(source=_field(rec, "source", str), target=_field(rec, "target", str),
+                  expected=_field(rec, "expected", str, VERIFIED), note=_field(rec, "note", str, ""))
     if kind == "obstruction":
-        return ObstructionCert(
-            source=rec["source"], target=rec["target"], method=rec["method"],
-            expected=expected, note=note,
-        )
-    if kind in ("specialization", "family_limit"):
-        lam = None
-        if rec.get("lambda") is not None:
-            lam = as_trat(parse_scalar(rec["lambda"]))
-        if kind == "family_limit" and lam is None:
-            raise CertFormatError("family_limit certificate needs a lambda substitution")
-        pre_field = FIELD_LRAT if any(
-            "l" in lit for lit in (rec.get("pre_change") or [])
-        ) else FIELD_C8
-        curve = _parse_curve(rec["curve"], n) if rec.get("curve") else Matrix.identity(n, FIELD_TRAT)
-        return SpecializationCert(
-            source=rec["source"],
-            target=rec["target"],
-            pre_change=_parse_group_matrix(rec.get("pre_change"), n, pre_field),
-            curve=curve,
-            post_change=_parse_group_matrix(rec.get("post_change"), n, FIELD_C8),
-            lambda_sub=lam,
-            expected=expected,
-            note=note,
-        )
-    raise CertFormatError(f"unknown certificate kind {kind!r}")
+        return ObstructionCert(method=_field(rec, "method", str), **common)
+    lam = _field(rec, "lambda", str, None)
+    if lam is not None:
+        lam = as_trat(_literal("lambda", lam))
+    if kind == "family_limit" and lam is None:
+        raise CertFormatError("family_limit certificate needs a lambda substitution")
+    pre_field = FIELD_LRAT if any("l" in lit for lit in rec.get("pre_change") or []
+                                  if isinstance(lit, str)) else FIELD_C8
+    return SpecializationCert(
+        pre_change=_parse_group_matrix(rec, "pre_change", n, pre_field),
+        curve=_parse_curve(rec, n),
+        post_change=_parse_group_matrix(rec, "post_change", n, FIELD_C8),
+        lambda_sub=lam,
+        **common,
+    )
 
 
 def load_cert_file(path_or_name):
-    """Load a certificate file; bare names resolve inside the packaged data."""
+    """Load a certificate file; bare names resolve inside the packaged data.
+
+    A file that is not UTF-8 JSON in the layout of data/schema.md raises
+    CertFormatError (naming the record index and field), OSError or
+    json.JSONDecodeError."""
     if isinstance(path_or_name, str) and "/" not in path_or_name and not path_or_name.endswith(".json"):
-        text = resources.files("superdegen.data").joinpath(path_or_name + ".json").read_text("utf-8")
+        raw = resources.files("superdegen.data").joinpath(path_or_name + ".json").read_bytes()
     else:
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path_or_name, "rb") as fh:
+            raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CertFormatError(f"not UTF-8 text (byte {exc.start})") from exc
     data = json.loads(text)
-    records = data["certs"] if isinstance(data, dict) else data
+    records = data.get("certs") if isinstance(data, dict) else data
     if not isinstance(records, list):
         raise CertFormatError("certificate file must hold a list of certificates")
-    return [cert_from_record(rec) for rec in records]
+    certs = []
+    for index, rec in enumerate(records):
+        try:
+            certs.append(cert_from_record(rec))
+        except CertFormatError as exc:
+            raise CertFormatError(f"record {index}: {exc}") from exc
+    return certs
 
 
 def verify_cert(cert, catalog: Catalog, underlying=None) -> Outcome:

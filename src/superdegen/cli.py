@@ -15,7 +15,7 @@ import time
 from . import reports
 from .catalog import Catalog, CatalogError, load_catalog
 from .certs import UNSUPPORTED as CERT_UNSUPPORTED
-from .certs import VERIFIED, load_cert_file, verify_cert
+from .certs import VERIFIED, CertFormatError, load_cert_file, verify_cert
 from .graph import dot_diagram, generic_structures, json_diagram, load_default_graph
 from .invariants import fingerprint, stabilizer_dim
 from .structure import AxiomError
@@ -111,8 +111,8 @@ def cmd_check(args) -> reports.RunReport:
     for path in args.certfiles:
         try:
             certs = load_cert_file(path)
-        except Exception as exc:
-            rep.add(path, reports.FAIL, f"cannot load: {exc}")
+        except (CertFormatError, OSError, json.JSONDecodeError) as exc:
+            rep.add(path, reports.ERROR, f"cannot load: {exc}")
             continue
         for cert in certs:
             outcome = verify_cert(cert, catalog)

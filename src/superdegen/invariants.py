@@ -27,24 +27,21 @@ def derivation_system(sc: StructureConstants, graded: bool = True):
     in the n*n unknowns D[r][c] (row-major)."""
     n = sc.n
     z = sc.field.zero
-    alpha, gamma = sc.alpha, sc.gamma
+    terms, gamma = sc.terms, sc.gamma
     rows = []
-    # D(e_i e_j) = D(e_i) e_j + e_i D(e_j), coefficient of e_k
+    # D(e_i e_j) = D(e_i) e_j + e_i D(e_j), coefficient of e_k: row k of block
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                row = [z] * (n * n)
-                for l in range(n):
-                    a = alpha[i][j][l]
-                    if not a.is_zero():
-                        row[k * n + l] = row[k * n + l] + a
-                    b = alpha[l][j][k]
-                    if not b.is_zero():
-                        row[l * n + i] = row[l * n + i] - b
-                    c = alpha[i][l][k]
-                    if not c.is_zero():
-                        row[l * n + j] = row[l * n + j] - c
-                rows.append(row)
+            block = [[z] * (n * n) for _ in range(n)]
+            for l, a in terms[i][j].items():
+                for k in range(n):
+                    block[k][k * n + l] += a
+            for l in range(n):
+                for k, b in terms[l][j].items():
+                    block[k][l * n + i] -= b
+                for k, c in terms[i][l].items():
+                    block[k][l * n + j] -= c
+            rows.extend(block)
     if graded:
         # D gamma = gamma D
         for r in range(n):

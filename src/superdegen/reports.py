@@ -1,8 +1,9 @@
 """Uniform run reports for the command line: per-item verdicts, counts,
 exit code 0 exactly when nothing failed (undetermined and unsupported
-items do not fail a run).  Output is deterministic; wall-clock time is
-carried on the object but only rendered on request, together with the
-Python version and the arithmetic backend the run used."""
+items do not fail a run), 2 when some input could not be read.  Output is
+deterministic; wall-clock time is carried on the object but only rendered
+on request, together with the Python version and the arithmetic backend the
+run used."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ PASS = "pass"
 FAIL = "fail"
 UNDETERMINED = "undetermined"
 UNSUPPORTED = "unsupported"
+ERROR = "error"  # an input that could not be read; the run goes on with the others
 
 # the one arithmetic backend: Cyclo8 over Python ints
 BACKEND = "python-int"
@@ -37,7 +39,8 @@ class RunReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if any(it["status"] == FAIL for it in self.items) else 0
+        statuses = {it["status"] for it in self.items}
+        return 2 if ERROR in statuses else 1 if FAIL in statuses else 0
 
     def to_json(self, with_timing=False) -> str:
         payload = {

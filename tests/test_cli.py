@@ -1,7 +1,10 @@
+import importlib.resources
 import json
 import platform
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from superdegen.cli import main
 
@@ -51,6 +54,17 @@ def test_check_bad_label(tmp_path, capsys):
     code, out = run(capsys, "check", str(bad))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_family_limit_with_unknown_source_fails_only_itself(tmp_path, capsys):
+    records = _shipped_records("family_limits")
+    records[0]["source"] = "(18;x|1)"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"certs": records}))
+    code, out = run(capsys, "check", str(bad), "obstructions_dim0")
+    assert code == 1
+    assert "not_verified[labels]: no catalog entry '(18;x|1)'" in out
+    assert out.count("PASS") == 4 + 8
 
 
 def test_diagram_json(capsys):
@@ -204,3 +218,114 @@ def test_timing_stamps_python_and_backend(capsys):
     assert "python" not in json.loads(plain_json) and "backend" not in json.loads(plain_json)
     assert {k: v for k, v in payload.items() if k not in ("python", "backend", "elapsed_seconds")} \
         == json.loads(plain_json)
+
+
+def _shipped_records(name):
+    return json.loads(importlib.resources.files("superdegen.data").joinpath(name + ".json")
+                      .read_text("utf-8"))["certs"]
+
+
+def _drop(key):
+    return lambda rec: rec.pop(key)
+
+
+def _put(key, value):
+    return lambda rec: rec.__setitem__(key, value)
+
+
+def _put_entry(key, index, value):
+    return lambda rec: rec[key].__setitem__(index, value)
+
+
+# (data set, record index, mutation, the typed message it must give)
+_MALFORMED = [
+    ("spec_dim2", 0, _drop("source"), "record 0: field 'source': missing"),
+    ("spec_dim3", 2, _put("target", 7), "record 2: field 'target': expected string, got number"),
+    ("obstructions_dim2", 4, _put("method", ["OD"]), "record 4: field 'method': expected string, got array"),
+    ("spec_dim2", 0, lambda rec: rec["pre_change"].pop(), "record 0: field 'pre_change': needs 16 literals, got 15"),
+    ("spec_dim2", 1, _put_entry("curve", 5, "t^2+"), "record 1: field 'curve': bad literal 't^2+'"),
+    ("spec_dim2", 1, _put_entry("curve", 5, "1/t"), "record 1: field 'curve': entry '1/t' is not polynomial in t"),
+    ("spec_dim3", 0, _put_entry("curve", 0, 1), "record 0: field 'curve': every entry must be a string literal"),
+    ("family_limits", 3, _put("lambda", "1/0"), "record 3: field 'lambda': bad literal '1/0'"),
+    ("family_limits", 0, _drop("lambda"), "record 0: family_limit certificate needs a lambda"),
+    ("obstructions_dim0", 1, lambda rec: rec.clear(), "record 1: unknown certificate kind None"),
+]
+
+
+@pytest.mark.parametrize("name, index, mutate, message", _MALFORMED)
+def test_malformed_certificate_is_a_typed_error(capsys, tmp_path, name, index, mutate, message):
+    records = _shipped_records(name)
+    mutate(records[index])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"certs": records}))
+    code, out = run(capsys, "check", str(bad), "obstructions_dim0")
+    assert code == 2
+    assert f"ERROR  {bad}" in out and f"cannot load: {message}" in out
+    assert out.count("PASS") == 8  # the other file is still checked
+    code, out = run(capsys, "--json", "check", str(bad))
+    assert code == 2 and json.loads(out)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    (b"{\"certs\": [", "Expecting value"),
+    (b"{\"certs\": [\"\xe9\"]}", "not UTF-8 text"),
+    (b"{\"comment\": \"no certs\"}", "must hold a list of certificates"),
+    (b"[7]", "record 0: expected an object, got number"),
+])
+def test_unreadable_certificate_file_is_a_typed_error(capsys, tmp_path, content, message):
+    path = tmp_path / "certs.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out = run(capsys, "check", "family_limits", str(path))
+    assert code == 2
+    assert message in out and out.count("PASS") == 5
+
+
+_LITERAL_FIELDS = ("curve", "pre_change", "post_change")
+
+
+@st.composite
+def _mutated_records(draw):
+    """A shipped certificate file with one record broken in one of the ways
+    data/schema.md rules out, and the index of that record."""
+    records = _shipped_records(draw(st.sampled_from(
+        ("spec_dim3", "spec_dim2", "family_limits", "obstructions_dim2", "obstructions_dim0"))))
+    index = draw(st.integers(0, len(records) - 1))
+    rec = records[index]
+    required = ["kind", "source", "target", "method" if rec["kind"] == "obstruction" else "lambda"]
+    required = [k for k in required if k in rec]
+    matrices = [k for k in _LITERAL_FIELDS if rec.get(k)]
+    ways = ["drop", "type"] + (["length", "literal", "entry-type"] if matrices else [])
+    ways += ["pole"] if "curve" in rec else []
+    way = draw(st.sampled_from(ways))
+    if way == "drop":
+        rec.pop(draw(st.sampled_from(required)))
+    elif way == "type":
+        key = draw(st.sampled_from(sorted(set(required) | set(matrices) | {"expected", "note"})))
+        wrong = [7, True, {"x": 1}] + ([] if key in _LITERAL_FIELDS else [["x"]])
+        wrong += ["x"] if key in _LITERAL_FIELDS else []
+        rec[key] = draw(st.sampled_from(wrong))
+    elif way == "length":
+        lits = rec[draw(st.sampled_from(matrices))]
+        lits.pop() if draw(st.booleans()) else lits.append("0")
+    elif way in ("literal", "entry-type"):
+        lits = rec[draw(st.sampled_from(matrices))]
+        bad = draw(st.sampled_from(["", "1+", "t^", "abc", "1/0", "(2"] if way == "literal" else [0, None, []]))
+        lits[draw(st.integers(0, len(lits) - 1))] = bad
+    else:
+        rec["curve"][draw(st.integers(0, len(rec["curve"]) - 1))] = draw(st.sampled_from(["1/t", "1/(1+t)"]))
+    return records, index
+
+
+# capsys is read out after every run, so sharing it between examples is safe
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_records())
+def test_mutated_shipped_records_give_typed_errors(tmp_path_factory, capsys, mutated):
+    records, index = mutated
+    bad = tmp_path_factory.mktemp("certs") / "mutated.json"
+    bad.write_text(json.dumps({"certs": records}))
+    code, out = run(capsys, "check", str(bad))
+    assert code == 2
+    assert f"cannot load: record {index}: " in out

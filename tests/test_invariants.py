@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from superdegen.invariants import (WrongComponent, closed_set_member, fingerprint, orbit_dim,
-                                   radical_basis, square_zero_subspace_dim2, stabilizer_dim)
+from superdegen.invariants import (WrongComponent, closed_set_member, derivation_system, fingerprint,
+                                   orbit_dim, radical_basis, square_zero_subspace_dim2, stabilizer_dim)
 from superdegen.structure import grading_split, random_group_element, transport
 
 
@@ -114,3 +114,27 @@ def test_fingerprint_collisions_are_reported_not_failed(catalog):
     labels = {frozenset(p) for p in collisions}
     assert frozenset(("(16|1)", "(16|2)")) not in labels
     assert frozenset(("(16|1)", "(18;l|1)")) not in labels
+
+
+def _reference_derivation_rows(sc):
+    """The dense loop over every index that built the ungraded rows, kept as an oracle."""
+    n, alpha, z = sc.n, sc.alpha, sc.field.zero
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [z] * (n * n)
+                for l in range(n):
+                    row[k * n + l] = row[k * n + l] + alpha[i][j][l]
+                    row[l * n + i] = row[l * n + i] - alpha[l][j][k]
+                    row[l * n + j] = row[l * n + j] - alpha[i][l][k]
+                rows.append(row)
+    return rows
+
+
+def test_derivation_rows_match_reference(catalog):
+    rng = random.Random(31)
+    for label in catalog.labels():
+        sc = catalog.entry(label).sc
+        for point in (sc, transport(random_group_element(rng, 4, sc.field), sc)):
+            assert derivation_system(point, graded=False) == _reference_derivation_rows(point), label

@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Generate src/superdegen/data/catalog.json.
+"""Generate catalog.json, into src/superdegen/data/ unless --out-dir names
+another directory:
+
+    python3 tools/make_catalog.py [--out-dir DIR]
 
 Every entry is specified by a concrete model of its underlying algebra
 (componentwise products, matrix products, or a monomial multiplication
@@ -11,6 +14,7 @@ test suite re-verify everything independently (defining equations,
 component splits, dimension tables, closed-set memberships).
 """
 
+import argparse
 import json
 import os
 import sys
@@ -21,7 +25,7 @@ from superdegen.linalg import FIELD_C8, FIELD_LRAT, Matrix
 from superdegen.scalars import LAMBDA, scalar_literal
 from superdegen.structure import StructureConstants, validate, grading_split
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "src", "superdegen", "data", "catalog.json")
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "superdegen", "data")
 
 
 # ---------------------------------------------------------------- models
@@ -376,7 +380,10 @@ def build_entry(fam, j, evens, odds, doc):
     }
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Write catalog.json from the concrete models.")
+    ap.add_argument("--out-dir", default=DATA, help="directory to write into (default: the packaged data)")
+    out = os.path.join(ap.parse_args(argv).out_dir, "catalog.json")
     records = []
     for fam in MODELS:
         for (j, evens, odds, doc) in ENTRIES[fam]:
@@ -395,11 +402,11 @@ def main():
         ),
         "entries": records,
     }
-    os.makedirs(os.path.dirname(OUT), exist_ok=True)
-    with open(OUT, "w", encoding="utf-8") as fh:
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {len(records)} entries to {OUT}")
+    print(f"wrote {len(records)} entries to {out}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Generate the certificate data files in src/superdegen/data/.
+"""Generate the certificate data files, into src/superdegen/data/ unless
+--out-dir names another directory:
+
+    python3 tools/make_certs.py [--out-dir DIR]
 
 Each specialization is given by the working basis (pre_change columns, in
 the source's catalog basis), the t-dependent basis curve (columns, in the
@@ -9,6 +12,7 @@ Every certificate is run through the verification engine before being
 written; generation aborts on any unexpected verdict.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -256,7 +260,11 @@ FILES = {
 }
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Write and verify the certificate data files.")
+    ap.add_argument("--out-dir", default=DATA, help="directory to write into (default: the packaged data)")
+    out_dir = ap.parse_args(argv).out_dir
+    os.makedirs(out_dir, exist_ok=True)
     catalog = load_catalog()
     failures = []
     for name, (comment, records) in FILES.items():
@@ -270,10 +278,10 @@ def main():
                 failures.append((name, cert.describe(), expected, str(outcome)))
             print(f"[{mark}] {name}: {cert.describe()} -> {outcome}")
         payload = {"comment": comment, "certs": records}
-        with open(os.path.join(DATA, name + ".json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, name + ".json"), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-    with open(os.path.join(DATA, "undetermined.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "undetermined.json"), "w", encoding="utf-8") as fh:
         json.dump({"comment": "pairs left open by the classification", "pairs": UNDETERMINED}, fh, indent=1)
         fh.write("\n")
     if failures:
