@@ -25,14 +25,13 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .catalog import Catalog, UnknownLabel
-from .cyclo import Cyclo8
+from .catalog import FORBIDDEN_LAMBDA, Catalog, UnknownLabel
 from .invariants import closed_set_member, orbit_dim
 from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix
 from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat
 from .structure import NotInGroup, StructureConstants, group_element, transport, validate
-from .tpoly import TRat, as_trat, substitute_lambda
+from .tpoly import TRat, substitute_lambda
 
 VERIFIED = "verified"
 NOT_VERIFIED = "not_verified"
@@ -98,18 +97,15 @@ class ObstructionCert:
 
 def _lift_matrix_to_trat(m: Matrix, lam: TRat | None) -> Matrix:
     if lam is None:
-        return m.map_entries(as_trat, FIELD_TRAT)
+        return m.map_entries(TRat.coerce, FIELD_TRAT)
     return m.map_entries(lambda x: substitute_lambda(x, lam), FIELD_TRAT)
 
 
 def _sc_over_trat(sc: StructureConstants, lam: TRat | None) -> StructureConstants:
-    conv = (lambda x: substitute_lambda(x, lam)) if lam is not None else as_trat
+    conv = (lambda x: substitute_lambda(x, lam)) if lam is not None else TRat.coerce
     alpha = [[[conv(x) for x in row] for row in plane] for plane in sc.alpha]
     gamma = [[conv(x) for x in row] for row in sc.gamma]
     return StructureConstants(sc.n, alpha, gamma, FIELD_TRAT, validated=sc.validated)
-
-
-_FORBIDDEN = (Cyclo8(-1), Cyclo8(0), Cyclo8(1))
 
 
 def verify_specialization(cert: SpecializationCert, catalog: Catalog,
@@ -125,7 +121,7 @@ def verify_specialization(cert: SpecializationCert, catalog: Catalog,
     n = src.n
     lam = cert.lambda_sub
     if lam is not None:
-        if lam.is_constant() and any(lam.constant_value() == bad for bad in _FORBIDDEN):
+        if lam.is_constant() and any(lam.constant_value() == bad for bad in FORBIDDEN_LAMBDA):
             return Outcome(NOT_VERIFIED, "substitution",
                            "the substituted parameter is identically an excluded value")
     # structural checks on the curve itself
@@ -231,6 +227,20 @@ def scaling_cert(label: str, catalog: Catalog) -> SpecializationCert:
     )
 
 
+def separates(method: str, src: dict, tgt: dict) -> bool:
+    """The rule of the OD and closed-set methods, read from both ends'
+    invariants: "orbit" (orbit dimension) and "family" (the end is a
+    one-parameter family) for OD, "sets" (closed-set name -> membership)
+    for A..E.  A set an end was not tested for separates nothing."""
+    if method == "OD":
+        # a one-parameter family may degenerate onto an orbit of the same
+        # dimension as its members, so family sources need a strict drop
+        if src["family"]:
+            return src["orbit"] < tgt["orbit"]
+        return src["orbit"] <= tgt["orbit"]
+    return src["sets"].get(method) is True and tgt["sets"].get(method) is False
+
+
 def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None) -> Outcome:
     if cert.method not in OBSTRUCTION_METHODS:
         return Outcome(NOT_VERIFIED, "method", f"unknown method {cert.method!r}")
@@ -256,10 +266,7 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
         if cert.source == cert.target:
             return Outcome(NOT_VERIFIED, "orbit-dim", "trivial pair")
         d_src, d_tgt = orbit_dim(src_entry.sc), orbit_dim(tgt_entry.sc)
-        # a one-parameter family may degenerate onto an orbit of the same
-        # dimension as its members, so family sources need a strict drop
-        blocked = d_src < d_tgt if src_entry.parametric else d_src <= d_tgt
-        if blocked:
+        if separates("OD", {"orbit": d_src, "family": src_entry.parametric}, {"orbit": d_tgt}):
             return Outcome(VERIFIED)
         return Outcome(NOT_VERIFIED, "orbit-dim",
                        f"orbit dimensions {d_src} -> {d_tgt} leave room for a degeneration")
@@ -269,7 +276,7 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
         in_tgt = closed_set_member(tgt_entry.sc, cert.method)
     except Exception as exc:
         return Outcome(NOT_VERIFIED, "closed-set", str(exc))
-    if in_src and not in_tgt:
+    if separates(cert.method, {"sets": {cert.method: in_src}}, {"sets": {cert.method: in_tgt}}):
         return Outcome(VERIFIED)
     return Outcome(NOT_VERIFIED, "closed-set",
                    f"set ({cert.method}) contains source={in_src}, target={in_tgt}; no separation")
@@ -334,7 +341,7 @@ def _parse_curve(rec, n):
     values = _literals(rec, "curve", n)
     if values is None:
         return Matrix.identity(n, FIELD_TRAT)
-    entries = [as_trat(v) for v in values]
+    entries = [TRat.coerce(v) for v in values]
     for lit, v in zip(rec["curve"], entries):
         if not v.is_tpoly():
             raise CertFormatError(f"field 'curve': entry {lit!r} is not polynomial in t")
@@ -355,7 +362,7 @@ def cert_from_record(rec: dict, n: int = 4):
         return ObstructionCert(method=_field(rec, "method", str), **common)
     lam = _field(rec, "lambda", str, None)
     if lam is not None:
-        lam = as_trat(_literal("lambda", lam))
+        lam = TRat.coerce(_literal("lambda", lam))
     if kind == "family_limit" and lam is None:
         raise CertFormatError("family_limit certificate needs a lambda substitution")
     pre_field = FIELD_LRAT if any("l" in lit for lit in rec.get("pre_change") or []

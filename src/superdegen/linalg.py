@@ -40,9 +40,9 @@ residual.
 from __future__ import annotations
 
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
-from .polys import padd, pdivmod, peval, pgcd, pmul, pscale
-from .scalars import LRAT_ONE, LRAT_ZERO, as_lrat
-from .tpoly import TRAT_ONE, TRAT_ZERO, as_trat
+from .polys import ONE_POLY, padd, pdivmod, peval, pgcd, pmul, pscale
+from .scalars import LRAT_ONE, LRAT_ZERO, LambdaRat
+from .tpoly import TRAT_ONE, TRAT_ZERO, TRat
 
 
 class Singular(ArithmeticError):
@@ -73,10 +73,8 @@ class Field:
 
 
 FIELD_C8 = Field("Q(z)", C8_ZERO, C8_ONE, _lift_c8)
-FIELD_LRAT = Field("Q(z)(l)", LRAT_ZERO, LRAT_ONE, as_lrat)
-FIELD_TRAT = Field("Q(z)(l)(t)", TRAT_ZERO, TRAT_ONE, as_trat)
-
-_ONE_POLY = (C8_ONE,)
+FIELD_LRAT = Field("Q(z)(l)", LRAT_ZERO, LRAT_ONE, LambdaRat.coerce)
+FIELD_TRAT = Field("Q(z)(l)(t)", TRAT_ZERO, TRAT_ONE, TRat.coerce)
 
 
 def _distinct_nonzero_rows(rows):
@@ -134,7 +132,7 @@ def _forward(m, cols):
 
 def _cleared_row(row):
     """A row of LambdaRat times the lcm of its denominators: polynomials in l."""
-    lcm = _ONE_POLY
+    lcm = ONE_POLY
     for x in row:
         if x.den != lcm and len(x.den) > 1:
             g = pgcd(lcm, x.den, C8_ZERO)

@@ -3,7 +3,9 @@
 Grammar: integers, the symbols z (eighth root of unity), l (family
 parameter) and t (curve parameter), with + - * / ^ and parentheses.
 "z-z^3" is the catalog's square root of 2.  Results take the smallest
-sufficient domain: Cyclo8, then LambdaRat, then TRat; no floating point.
+sufficient domain: Cyclo8 (Q(z)), then LambdaRat (Q(z)(l)), then TRat
+(Q(z)(l)(t)), the last two being polys.RatFunc in l and in t; no floating
+point.  str() of any scalar is a literal that parses back to it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from superdegen.cyclo import C8_ONE, C8_ZERO, Cyclo8, ZETA
 from superdegen.literals import ParseError, parse_scalar
 from superdegen.polys import padd, pdivmod, pgcd, pmul, pneg, pstrip
-from superdegen.scalars import LAMBDA, LambdaRat, as_lrat, lrat_literal
+from superdegen.scalars import LAMBDA, LambdaRat
+from superdegen.tpoly import TRat
 
 
 def _random_rats(seed, count, zero_ok=True):
@@ -50,7 +51,7 @@ def test_reduction_is_canonical():
 def test_inverse_of_one_plus_lambda():
     inv = (1 + LAMBDA).inverse()
     assert inv * (1 + LAMBDA) == 1
-    assert lrat_literal(inv) == "(1)/(1+l)"
+    assert str(inv) == "(1)/(1+l)"
 
 
 def test_substitute():
@@ -62,15 +63,15 @@ def test_substitute():
 
 
 def test_coercion_and_equality_across_types():
-    assert as_lrat(Cyclo8(5)) == Cyclo8(5)
-    assert Cyclo8(5) == as_lrat(Cyclo8(5))
+    assert LambdaRat.coerce(Cyclo8(5)) == Cyclo8(5)
+    assert Cyclo8(5) == LambdaRat.coerce(Cyclo8(5))
     assert LAMBDA + 0 == LAMBDA
     assert (LAMBDA * 0).is_zero()
 
 
 def test_literal_round_trip():
     for x in _random_rats(14, 30):
-        assert parse_scalar(lrat_literal(x)) == x
+        assert parse_scalar(str(x)) == x
 
 
 def test_parse_errors():
@@ -142,12 +143,14 @@ _lpolys = st.lists(_coeffs, max_size=4).map(pstrip)
 @given(_lpolys, _lpolys)
 def test_polynomial_arithmetic_is_canonical(a, b):
     # denominator 1 on both sides: the results skip normalisation, and must
-    # equal what the normalising constructor builds
-    x, y = LambdaRat(a), LambdaRat(b)
-    for got, num in ((x + y, padd(a, b)), (x - y, padd(a, pneg(b))), (x * y, pmul(a, b, C8_ZERO))):
-        want = LambdaRat(num, (C8_ONE,))
-        assert got.num == want.num and got.den == want.den
-        assert lrat_literal(got) == lrat_literal(want)
+    # equal what the normalising constructor builds; TRat shares the body
+    for cls in (LambdaRat, TRat):
+        x, y = cls(a), cls(b)
+        for got, num in ((x + y, padd(a, b)), (x - y, padd(a, pneg(b))), (x * y, pmul(a, b, C8_ZERO))):
+            want = cls(num, (C8_ONE,))
+            assert type(got) is cls
+            assert got.num == want.num and got.den == want.den
+            assert str(got) == str(want)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -162,4 +165,4 @@ def test_mixed_operands_are_normalised(a, b, den):
         want = LambdaRat(num, d)
         assert got.num == want.num and got.den == want.den
         assert not got.num or (got.den[-1] == 1 and len(pgcd(got.num, got.den, C8_ZERO)) == 1)
-        assert lrat_literal(got) == lrat_literal(want)
+        assert str(got) == str(want)

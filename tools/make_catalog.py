@@ -22,7 +22,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, Matrix
-from superdegen.scalars import LAMBDA, scalar_literal
+from superdegen.scalars import LAMBDA
 from superdegen.structure import StructureConstants, validate, grading_split
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "superdegen", "data")
@@ -370,13 +370,13 @@ def build_entry(fam, j, evens, odds, doc):
         "n": n,
         "component": i,
         "parametric": parametric,
-        "alpha": [scalar_literal(alpha[a][b][k]) for k in range(n) for a in range(n) for b in range(n)],
-        "gamma": [scalar_literal(gamma[r][c]) for r in range(n) for c in range(n)],
+        "alpha": [str(alpha[a][b][k]) for k in range(n) for a in range(n) for b in range(n)],
+        "gamma": [str(gamma[r][c]) for r in range(n) for c in range(n)],
         "basis_doc": doc,
         "algebra_doc": algebra_doc,
         "expected_stab_dim": stab,
         "expected_orbit_dim": n * n - n - stab,
-        "u_base_change": [scalar_literal(x) for x in change] if change else None,
+        "u_base_change": [str(x) for x in change] if change else None,
     }
 
 
