@@ -227,18 +227,11 @@ def scaling_cert(label: str, catalog: Catalog) -> SpecializationCert:
     )
 
 
-def separates(method: str, src: dict, tgt: dict) -> bool:
-    """The rule of the OD and closed-set methods, read from both ends'
-    invariants: "orbit" (orbit dimension) and "family" (the end is a
-    one-parameter family) for OD, "sets" (closed-set name -> membership)
-    for A..E.  A set an end was not tested for separates nothing."""
-    if method == "OD":
-        # a one-parameter family may degenerate onto an orbit of the same
-        # dimension as its members, so family sources need a strict drop
-        if src["family"]:
-            return src["orbit"] < tgt["orbit"]
-        return src["orbit"] <= tgt["orbit"]
-    return src["sets"].get(method) is True and tgt["sets"].get(method) is False
+def od_blocks(d_src: int, d_tgt: int, family: bool) -> bool:
+    """Whether orbit dimensions d_src -> d_tgt rule out a degeneration.
+    A one-parameter family may degenerate onto an orbit of the same
+    dimension as its members, so a family source needs a strict drop."""
+    return d_src < d_tgt if family else d_src <= d_tgt
 
 
 def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None) -> Outcome:
@@ -266,7 +259,7 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
         if cert.source == cert.target:
             return Outcome(NOT_VERIFIED, "orbit-dim", "trivial pair")
         d_src, d_tgt = orbit_dim(src_entry.sc), orbit_dim(tgt_entry.sc)
-        if separates("OD", {"orbit": d_src, "family": src_entry.parametric}, {"orbit": d_tgt}):
+        if od_blocks(d_src, d_tgt, src_entry.parametric):
             return Outcome(VERIFIED)
         return Outcome(NOT_VERIFIED, "orbit-dim",
                        f"orbit dimensions {d_src} -> {d_tgt} leave room for a degeneration")
@@ -276,7 +269,7 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
         in_tgt = closed_set_member(tgt_entry.sc, cert.method)
     except Exception as exc:
         return Outcome(NOT_VERIFIED, "closed-set", str(exc))
-    if separates(cert.method, {"sets": {cert.method: in_src}}, {"sets": {cert.method: in_tgt}}):
+    if in_src and not in_tgt:
         return Outcome(VERIFIED)
     return Outcome(NOT_VERIFIED, "closed-set",
                    f"set ({cert.method}) contains source={in_src}, target={in_tgt}; no separation")

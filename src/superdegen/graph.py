@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .catalog import Catalog
-from .certs import VERIFIED, load_cert_file, scaling_cert, separates, verify_cert
+from .certs import VERIFIED, load_cert_file, od_blocks, scaling_cert, verify_cert
 from .invariants import closed_set_member, orbit_dim
 from .structure import grading_split
 
@@ -90,7 +90,13 @@ def load_undetermined():
 def _auto_obstruction(src_label, tgt_label, info):
     """First on-the-fly method separating the pair, or None."""
     s, t = info[src_label], info[tgt_label]
-    return next((m for m in ("OD", "A", "B", "C", "D", "E") if separates(m, s, t)), None)
+    if od_blocks(s["orbit"], t["orbit"], s["family"]):
+        return "OD"
+    for m in ("A", "B", "C", "D", "E"):
+        sm, tm = s["sets"].get(m), t["sets"].get(m)
+        if sm is True and tm is False:
+            return m
+    return None
 
 
 def build_graph(catalog: Catalog, specs, family_limits, obstructions,

@@ -194,8 +194,6 @@ class RatFunc:
             raise TypeError(f"cannot coerce {type(x).__name__} into {cls.FIELD}")
         return o
 
-    from_const = coerce
-
     def is_zero(self) -> bool:
         return not self.num
 

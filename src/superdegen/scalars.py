@@ -29,8 +29,8 @@ class LambdaRat(RatFunc):
         return peval(self.num, value, C8_ZERO) * d.inverse()
 
 
-LRAT_ZERO = LambdaRat.from_const(0)
-LRAT_ONE = LambdaRat.from_const(1)
+LRAT_ZERO = LambdaRat.coerce(0)
+LRAT_ONE = LambdaRat.coerce(1)
 LAMBDA = LambdaRat.var()
 
 

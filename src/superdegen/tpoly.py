@@ -54,8 +54,8 @@ class TRat(RatFunc):
         return self.num[a] / self.den[b]
 
 
-TRAT_ZERO = TRat.from_const(0)
-TRAT_ONE = TRat.from_const(1)
+TRAT_ZERO = TRat.coerce(0)
+TRAT_ONE = TRat.coerce(1)
 T_VAR = TRat.var()
 
 

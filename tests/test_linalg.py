@@ -159,8 +159,8 @@ _FACTORS = (L, L - 1, L - 2, L + ZETA, L * L + 1)
 @st.composite
 def _lrat_entries(draw):
     if draw(st.integers(0, 4)) == 0:
-        return LambdaRat.from_const(0)
-    x = LambdaRat.from_const(Cyclo8(draw(st.integers(-3, 3)) or 1, draw(st.integers(-1, 1))))
+        return LambdaRat.coerce(0)
+    x = LambdaRat.coerce(Cyclo8(draw(st.integers(-3, 3)) or 1, draw(st.integers(-1, 1))))
     for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=2)):
         x = x * f
     for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=1)):
@@ -175,10 +175,10 @@ def _planted_rank_matrices(draw):
     m, k, n = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
     b = [[draw(_lrat_entries()) for _ in range(k)] for _ in range(m)]
     c = [[draw(_lrat_entries()) for _ in range(n)] for _ in range(k)]
-    rows = [[sum((b[i][j] * c[j][col] for j in range(k)), LambdaRat.from_const(0)) for col in range(n)]
+    rows = [[sum((b[i][j] * c[j][col] for j in range(k)), LambdaRat.coerce(0)) for col in range(n)]
             for i in range(m)]
     rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
-    rows += [[LambdaRat.from_const(0)] * n for _ in range(draw(st.integers(0, 2)))]
+    rows += [[LambdaRat.coerce(0)] * n for _ in range(draw(st.integers(0, 2)))]
     return k, draw(st.permutations(rows))
 
 
@@ -235,16 +235,16 @@ def _planted_rank_matrices_with_constant_rows(draw):
     a share of the product's rows is constant; then zero rows and copies."""
     k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     kc = draw(st.integers(1, k))
-    const = lambda: LambdaRat.from_const(draw(st.sampled_from(_CONSTANTS)))
+    const = lambda: LambdaRat.coerce(draw(st.sampled_from(_CONSTANTS)))
     c = [[const() for _ in range(n)] for _ in range(kc)]
     c += [[draw(_lrat_entries()) for _ in range(n)] for _ in range(k - kc)]
-    b = [[const() if j < kc else LambdaRat.from_const(0) for j in range(k)]
+    b = [[const() if j < kc else LambdaRat.coerce(0) for j in range(k)]
          for _ in range(draw(st.integers(1, 3)))]
     b += [[draw(_lrat_entries()) for _ in range(k)] for _ in range(draw(st.integers(0, 3)))]
-    rows = [[sum((bi[j] * c[j][col] for j in range(k)), LambdaRat.from_const(0)) for col in range(n)]
+    rows = [[sum((bi[j] * c[j][col] for j in range(k)), LambdaRat.coerce(0)) for col in range(n)]
             for bi in b]
     rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
-    rows += [[LambdaRat.from_const(0)] * n for _ in range(draw(st.integers(0, 1)))]
+    rows += [[LambdaRat.coerce(0)] * n for _ in range(draw(st.integers(0, 1)))]
     return k, draw(st.permutations(rows))
 
 

@@ -14,7 +14,7 @@ def test_order_at_zero_examples():
     assert ((t ** 2 + t ** 3) / t).order_at_zero() == 1
     assert ((1 + t) / 2).order_at_zero() == 0
     assert (1 / t).order_at_zero() == -1
-    assert TRat.from_const(0).order_at_zero() == ORDER_INF
+    assert TRat.coerce(0).order_at_zero() == ORDER_INF
 
 
 def test_eval_at_zero_examples():

@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Check Matrix.rank against sympy on the derivation systems of the catalog:
 
-    python3 tools/oracle_rank.py [LABEL ...]
+    python3 tools/oracle_rank.py
 
-For every catalog entry (all 61 unless labels are given), graded and
-ungraded, it builds the derivation system of invariants.derivation_system
-and takes its rank twice: with the package's Matrix.rank, and with sympy's
+For every one of the 61 catalog entries, graded and ungraded, it builds
+the derivation system of invariants.derivation_system and takes its rank
+twice: with the package's Matrix.rank, and with sympy's
 DomainMatrix over QQ<zeta8>, or over the fraction field QQ<zeta8>(l) for the
 (18;l|j) families.  It prints one line per system and exits 1 on any
 mismatch.  Needs sympy.
 """
 
-import argparse
 import os
 import sys
 import time
@@ -53,15 +52,11 @@ def sympy_rank(rows, field) -> int:
     return DomainMatrix([[conv(x) for x in row] for row in rows], (len(rows), len(rows[0])), dom).rank()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description="Compare Matrix.rank with sympy on derivation systems.")
-    ap.add_argument("labels", nargs="*", help="catalog labels (default: every entry)")
-    args = ap.parse_args(argv)
+def main():
     catalog = load_catalog()
-    labels = args.labels or catalog.labels()
     t0 = time.perf_counter()
     systems = mismatches = 0
-    for label in labels:
+    for label in catalog.labels():
         sc = catalog.entry(label).sc
         for graded in (True, False):
             rows = derivation_system(sc, graded)
