@@ -6,6 +6,15 @@ from the concrete models and listed bases of the classification; see
 data/schema.md for the bit-exact file layout.  The loader re-validates
 every entry: defining equations, declared component, label uniqueness,
 and use of the family parameter.
+
+The default catalog holds 5 552 literals but only six distinct ones
+(`0`, `1`, `-1`, `2`, `-2`, `l`).  `load_catalog` parses and lifts each
+distinct (field, literal) pair once per load, in a dict local to that
+load, and the entries share the resulting scalars, which are immutable.
+A bad literal fails at its first occurrence, so the error names that one.
+
+Each entry keeps the grading split its validation computes, and computes
+its stabilizer dimension once, on first use.
 """
 
 from __future__ import annotations
@@ -13,14 +22,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .cyclo import Cyclo8
-from .invariants import fingerprint
+from .invariants import fingerprint, stabilizer_dim
 from .linalg import FIELD_C8, FIELD_LRAT, Matrix
 from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat, scalar_substitute
-from .structure import StructureConstants, grading_split, transport_algebra, validate
+from .structure import GradedSplit, StructureConstants, grading_split, transport_algebra, validate
 
 
 class CatalogError(ValueError):
@@ -61,29 +71,48 @@ class CatalogEntry:
     component: int
     parametric: bool
     sc: StructureConstants
+    split: GradedSplit
     basis_doc: tuple
     algebra_doc: str
     expected_stab_dim: int
     expected_orbit_dim: int
     u_base_change: Matrix | None
 
+    @cached_property
+    def stab_dim(self) -> int:
+        return stabilizer_dim(self.sc)
 
-def _parse_in(field, literal, where):
+    @property
+    def orbit_dim(self) -> int:
+        return self.n * self.n - self.n - self.stab_dim
+
+
+def _parse_in(field, literal, where, parsed):
+    """The literal lifted into field; `parsed` maps (field name, literal) to
+    the scalars already made, and gains this one."""
+    key = (field.name, literal)
+    if key in parsed:
+        return parsed[key]
     try:
         v = parse_scalar(literal)
     except Exception as exc:
         raise CatalogParseError(f"{where}: {exc}") from exc
     try:
-        return field.lift(v)
+        v = field.lift(v)
     except TypeError as exc:
         raise ValidationError(f"{where}: literal {literal!r} does not lie in {field.name}") from exc
+    parsed[key] = v
+    return v
 
 
 def _mentions_lambda(x) -> bool:
     return isinstance(x, LambdaRat) and not x.is_constant()
 
 
-def entry_from_record(rec: dict) -> CatalogEntry:
+def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
+    """One validated entry; `parsed` is the literal dict `_parse_in` shares
+    across the entries of one load."""
+    parsed = {} if parsed is None else parsed
     for key in ("label", "n", "component", "parametric", "alpha", "gamma"):
         if key not in rec:
             raise CatalogParseError(f"catalog entry missing field {key!r}")
@@ -96,9 +125,9 @@ def entry_from_record(rec: dict) -> CatalogEntry:
     if len(rec["gamma"]) != n ** 2:
         raise CatalogParseError(f"{label}: gamma must hold {n ** 2} literals")
     # file order is k-major: alpha[k*n*n + i*n + j] = coefficient of e_k in e_i e_j
-    raw = [_parse_in(field, lit, f"{label}.alpha[{idx}]") for idx, lit in enumerate(rec["alpha"])]
+    raw = [_parse_in(field, lit, f"{label}.alpha[{idx}]", parsed) for idx, lit in enumerate(rec["alpha"])]
     alpha = [[[raw[k * n * n + i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
-    graw = [_parse_in(field, lit, f"{label}.gamma[{idx}]") for idx, lit in enumerate(rec["gamma"])]
+    graw = [_parse_in(field, lit, f"{label}.gamma[{idx}]", parsed) for idx, lit in enumerate(rec["gamma"])]
     gamma = [[graw[r * n + c] for c in range(n)] for r in range(n)]
     sc = StructureConstants(n, alpha, gamma, field)
     try:
@@ -120,7 +149,7 @@ def entry_from_record(rec: dict) -> CatalogEntry:
         lits = rec["u_base_change"]
         if len(lits) != n * n:
             raise CatalogParseError(f"{label}: u_base_change must hold {n * n} literals")
-        ents = [_parse_in(field, lit, f"{label}.u_base_change") for lit in lits]
+        ents = [_parse_in(field, lit, f"{label}.u_base_change", parsed) for lit in lits]
         change = Matrix(n, n, ents, field)
     fam = label.split("|")[0].lstrip("(")
     return CatalogEntry(
@@ -130,6 +159,7 @@ def entry_from_record(rec: dict) -> CatalogEntry:
         component=rec["component"],
         parametric=parametric,
         sc=sc,
+        split=split,
         basis_doc=tuple(rec.get("basis_doc", ())),
         algebra_doc=rec.get("algebra_doc", ""),
         expected_stab_dim=rec.get("expected_stab_dim"),
@@ -251,4 +281,5 @@ def load_catalog(source=None) -> Catalog:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogParseError(f"catalog is not valid JSON: {exc}") from exc
-    return Catalog([entry_from_record(rec) for rec in _records_from_source(data)])
+    parsed = {}
+    return Catalog([entry_from_record(rec, parsed) for rec in _records_from_source(data)])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .catalog import FORBIDDEN_LAMBDA, Catalog, UnknownLabel
-from .invariants import closed_set_member, orbit_dim
+from .invariants import closed_set_member
 from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix
 from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat
@@ -258,15 +258,15 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
     if cert.method == "OD":
         if cert.source == cert.target:
             return Outcome(NOT_VERIFIED, "orbit-dim", "trivial pair")
-        d_src, d_tgt = orbit_dim(src_entry.sc), orbit_dim(tgt_entry.sc)
+        d_src, d_tgt = src_entry.orbit_dim, tgt_entry.orbit_dim
         if od_blocks(d_src, d_tgt, src_entry.parametric):
             return Outcome(VERIFIED)
         return Outcome(NOT_VERIFIED, "orbit-dim",
                        f"orbit dimensions {d_src} -> {d_tgt} leave room for a degeneration")
     # closed-set methods
     try:
-        in_src = closed_set_member(src_entry.sc, cert.method)
-        in_tgt = closed_set_member(tgt_entry.sc, cert.method)
+        in_src = closed_set_member(src_entry.sc, cert.method, src_entry.split)
+        in_tgt = closed_set_member(tgt_entry.sc, cert.method, tgt_entry.split)
     except Exception as exc:
         return Outcome(NOT_VERIFIED, "closed-set", str(exc))
     if in_src and not in_tgt:

@@ -17,7 +17,7 @@ from .catalog import Catalog, CatalogError, load_catalog
 from .certs import UNSUPPORTED as CERT_UNSUPPORTED
 from .certs import VERIFIED, CertFormatError, load_cert_file, verify_cert
 from .graph import dot_diagram, generic_structures, json_diagram, load_default_graph
-from .invariants import fingerprint, stabilizer_dim
+from .invariants import fingerprint
 from .structure import AxiomError
 
 FAMILY_ROWS = ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
@@ -70,8 +70,7 @@ def _table_cells(catalog: Catalog, kind: str):
     cells = {}
     for e in catalog.entries.values():
         j = int(e.label.split("|")[1].rstrip(")"))
-        stab = stabilizer_dim(e.sc)
-        value = stab if kind == "stab" else e.n * e.n - e.n - stab
+        value = e.stab_dim if kind == "stab" else e.orbit_dim
         expected = e.expected_stab_dim if kind == "stab" else e.expected_orbit_dim
         cells[(e.family, j)] = (value, expected)
     return cells

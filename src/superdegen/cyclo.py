@@ -8,6 +8,17 @@ zero is (0, 0, 0, 0) / 1 and structural equality is semantic equality.
 This field contains every constant the catalog and the degeneration
 certificates need: z^2 is a square root of -1, z - z^3 squares to 2 and
 z + z^3 squares to -2.
+
+Most operands are rational (n1 = n2 = n3 = 0).  Counted over one pass of
+each perfbench workload (seed 1): on `atlas`, 118 612 of the 119 040
+products and 166 567 of the 166 727 sums and differences of two Cyclo8
+have both operands in Q; on `fuzz-fixed` (707 119 operations) and
+`fuzz-family` (937 116) all of them do.  So `+`, `-`, `*` and `inverse`
+take a rational branch when every operand is rational: they work on
+(n0, d) alone, the way `fractions.Fraction` does, with gcds of two ints
+where the general case multiplies in Z[z] (16 products) and takes a gcd of
+five.  The branch gives the same canonical form, zero as (0, 0, 0, 0) / 1
+included.
 """
 
 from __future__ import annotations
@@ -89,7 +100,10 @@ class Cyclo8:
 
     def __sub__(self, other):
         if isinstance(other, Cyclo8):
+            a0, a1, a2, a3 = self.c
             b0, b1, b2, b3 = other.c
+            if not (a1 or a2 or a3 or b1 or b2 or b3):
+                return _qsum(a0, self.d, -b0, other.d)
             return _sum(self.c, self.d, (-b0, -b1, -b2, -b3), other.d)
         if isinstance(other, int):
             return self + (-other)
@@ -102,6 +116,10 @@ class Cyclo8:
 
     def __mul__(self, other):
         if isinstance(other, Cyclo8):
+            a0, a1, a2, a3 = self.c
+            b0, b1, b2, b3 = other.c
+            if not (a1 or a2 or a3 or b1 or b2 or b3):
+                return _qmul(a0, self.d, b0, other.d)
             return _make(*_imul(self.c, other.c), self.d * other.d)
         if isinstance(other, int):
             g = gcd(other, self.d)
@@ -113,9 +131,13 @@ class Cyclo8:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo8":
-        """Multiplicative inverse, via the product of the three conjugates."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of 0 in Q(z)")
+        """Multiplicative inverse, via the product of the three conjugates;
+        d / n0 for a rational n0 / d."""
+        a0, a1, a2, a3 = self.c
+        if not (a1 or a2 or a3):
+            if not a0:
+                raise ZeroDivisionError("inverse of 0 in Q(z)")
+            return _raw((self.d, 0, 0, 0), a0) if a0 > 0 else _raw((-self.d, 0, 0, 0), -a0)
         p, norm = _adjoint(self.c)
         d = self.d
         return _make(p[0] * d, p[1] * d, p[2] * d, p[3] * d, norm)
@@ -171,13 +193,46 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Cyclo8:
     return _raw((n0, n1, n2, n3), d)
 
 
+def _qmul(a0: int, ad: int, b0: int, bd: int) -> Cyclo8:
+    """(a0 / ad) * (b0 / bd) for canonical rational operands, as in
+    Fraction._mul: cancel across before multiplying, and the product is
+    canonical.  A zero operand is 0 / 1, so a zero product is 0 / 1 too."""
+    g = gcd(a0, bd)
+    if g > 1:
+        a0, bd = a0 // g, bd // g
+    g = gcd(b0, ad)
+    if g > 1:
+        b0, ad = b0 // g, ad // g
+    return _raw((a0 * b0, 0, 0, 0), ad * bd)
+
+
+def _qsum(a0: int, ad: int, b0: int, bd: int) -> Cyclo8:
+    """a0 / ad + b0 / bd for canonical rational operands, as in
+    Fraction._add: only a prime dividing g = gcd(ad, bd) can divide both the
+    sum's numerator and ad * bd / g.  A zero sum comes out 0 / 1, because
+    canonical operands of opposite value have equal denominators."""
+    if ad == bd == 1:
+        return _raw((a0 + b0, 0, 0, 0), 1)
+    g = gcd(ad, bd)
+    if g == 1:
+        return _raw((a0 * bd + b0 * ad, 0, 0, 0), ad * bd)
+    s = ad // g
+    n = a0 * (bd // g) + b0 * s
+    g2 = gcd(n, g)
+    if g2 == 1:
+        return _raw((n, 0, 0, 0), s * bd)
+    return _raw((n // g2, 0, 0, 0), s * (bd // g2))
+
+
 def _sum(a: tuple, ad: int, b: tuple, bd: int) -> Cyclo8:
     """a / ad + b / bd for canonical operands."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
+    if ad == bd == 1:
+        return _raw((a0 + b0, a1 + b1, a2 + b2, a3 + b3), 1)
+    if not (a1 or a2 or a3 or b1 or b2 or b3):
+        return _qsum(a0, ad, b0, bd)
     if ad == bd:
-        if ad == 1:
-            return _raw((a0 + b0, a1 + b1, a2 + b2, a3 + b3), 1)
         return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
     g = gcd(ad, bd)
     sa, sb = bd // g, ad // g

@@ -21,8 +21,7 @@ from importlib import resources
 
 from .catalog import Catalog
 from .certs import VERIFIED, load_cert_file, od_blocks, scaling_cert, verify_cert
-from .invariants import closed_set_member, orbit_dim
-from .structure import grading_split
+from .invariants import closed_set_member
 
 
 class ContradictionFound(Exception):
@@ -106,13 +105,12 @@ def build_graph(catalog: Catalog, specs, family_limits, obstructions,
     info = {}
     nodes = {}
     for e in catalog.entries.values():
-        nd = Node(e.label, e.component, orbit_dim(e.sc), e.parametric)
+        nd = Node(e.label, e.component, e.orbit_dim, e.parametric)
         nodes[e.label] = nd
-        split = grading_split(e.sc)
-        sets = {"A": closed_set_member(e.sc, "A", split), "B": closed_set_member(e.sc, "B", split)}
+        sets = {"A": closed_set_member(e.sc, "A", e.split), "B": closed_set_member(e.sc, "B", e.split)}
         if e.component == 2:
             for m in ("C", "D", "E"):
-                sets[m] = closed_set_member(e.sc, m, split)
+                sets[m] = closed_set_member(e.sc, m, e.split)
         info[e.label] = {"orbit": nd.orbit_dim, "family": e.parametric, "sets": sets}
 
     edges = {}

@@ -4,11 +4,16 @@ Elimination pivots on the first nonzero entry in column order; with exact
 arithmetic there is nothing to gain from pivot selection, and a fixed rule
 makes every kernel basis and inverse reproducible across runs.
 
-Two elimination kernels run here.  `Matrix._echelon` is Gauss-Jordan: it
-normalises each pivot row and clears its column above and below, which is
-what a kernel basis, a solution or an inverse is read from.  `_forward`
-clears below each pivot only and leaves pivot rows as they are, enough for
-the rank (the number of pivots) and the determinant (their signed product).
+One elimination kernel runs here.  `_forward` clears below each pivot only
+and leaves pivot rows as they are, enough for the rank (the number of
+pivots) and the determinant (their signed product).  A kernel basis, a
+solution and an inverse are read from the reduced row echelon form, which
+`_reduced` gets from `_forward` by a back pass over the pivot rows in
+reverse order: each pivot row is normalised and its column cleared above
+it.  The reduced form of a matrix is unique, so this gives the same
+entries as Gauss-Jordan elimination, which also clears above each pivot
+as it goes, with fewer operations: the back pass works on the nonzero
+entries right of each pivot only.
 
 Rank over Q(z)(l) is taken by evaluation, with a certificate.  Multiply
 each row by the lcm of its denominators; the rank does not change, and
@@ -128,6 +133,41 @@ def _forward(m, cols):
         if pr == len(m):
             break
     return pivot_cols, swaps
+
+
+def _reduced(m, field):
+    """Reduced row echelon form, in place, of the list of row lists m;
+    returns the pivot columns.
+
+    After `_forward`, the back pass takes the pivot rows last to first.  It
+    reads only the nonzero entries right of each pivot, which `_forward`
+    has kept exact; the stale entries left of a pivot are never read.  Row i
+    is rewritten whole: zero left of its pivot, one at it, its entries
+    divided by the pivot right of it.  That row then clears its pivot
+    column in the rows above.  Rows below the last pivot are left as they
+    are."""
+    width = len(m[0]) if m else 0
+    pivot_cols, _ = _forward(m, width)
+    zero, one = field.zero, field.one
+    for i in range(len(pivot_cols) - 1, -1, -1):
+        pc = pivot_cols[i]
+        prow = m[i]
+        inv = prow[pc].inverse()
+        tail = [(c, prow[c] * inv) for c in range(pc + 1, width) if not prow[c].is_zero()]
+        row = [zero] * width
+        row[pc] = one
+        for c, b in tail:
+            row[c] = b
+        m[i] = row
+        for r in range(i):
+            above = m[r]
+            a = above[pc]
+            if a.is_zero():
+                continue
+            above[pc] = zero
+            for c, b in tail:
+                above[c] = above[c] - a * b
+    return pivot_cols
 
 
 def _cleared_row(row):
@@ -257,35 +297,6 @@ class Matrix:
         field = field or self.field
         return Matrix(self.rows, self.cols, [fn(e) for e in self.entries], field)
 
-    def _echelon(self, m):
-        """In-place forward elimination on list-of-lists m; returns pivot columns."""
-        pivots = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot = None
-            for r in range(pr, len(m)):
-                if not m[r][pc].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            if pivot != pr:
-                m[pr], m[pivot] = m[pivot], m[pr]
-            inv = 1 / m[pr][pc]
-            m[pr] = [inv * e for e in m[pr]]
-            for r in range(len(m)):
-                if r == pr:
-                    continue
-                f = m[r][pc]
-                if f.is_zero():
-                    continue
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(m):
-                break
-        return pivots
-
     def rank(self) -> int:
         rows = _distinct_nonzero_rows(self.to_lists())
         if self.field is FIELD_LRAT:
@@ -295,7 +306,7 @@ class Matrix:
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column, in column order."""
         m = self.to_lists()
-        pivots = self._echelon(m)
+        pivots = _reduced(m, self.field)
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         z, one = self.field.zero, self.field.one
@@ -327,20 +338,16 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         z, one = self.field.zero, self.field.one
-        aug = Matrix.from_rows([list(self.row(r)) + [one if c == r else z for c in range(n)]
-                                for r in range(n)], self.field)
-        m = aug.to_lists()
-        if aug._echelon(m) != list(range(n)):
+        m = [list(self.row(r)) + [one if c == r else z for c in range(n)] for r in range(n)]
+        if _reduced(m, self.field) != list(range(n)):
             raise Singular("matrix is singular")
         return Matrix(n, n, [e for row in m for e in row[n:]], self.field)
 
     def solve(self, rhs):
         """One solution x of self @ x = rhs, or None if inconsistent."""
         n, c = self.rows, self.cols
-        m = [list(self.row(r)) + [self.field.lift(rhs[r])] for r in range(n)]
-        aug = Matrix(n, c + 1, [e for row in m for e in row], self.field)
-        rows = aug.to_lists()
-        pivots = aug._echelon(rows)
+        rows = [list(self.row(r)) + [self.field.lift(rhs[r])] for r in range(n)]
+        pivots = _reduced(rows, self.field)
         if c in pivots:
             return None
         z = self.field.zero

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from superdegen.catalog import (CatalogParseError, ForbiddenParameter, UnknownLabel,
+from superdegen.catalog import (CatalogError, CatalogParseError, ForbiddenParameter, UnknownLabel,
                                 ValidationError, entry_from_record, load_catalog)
 from superdegen.cyclo import Cyclo8
 from superdegen.scalars import LAMBDA
@@ -113,3 +113,74 @@ def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERDEGEN_CATALOG", str(p))
     cat = load_catalog()
     assert len(cat) == 3
+
+
+# --- one parse per distinct literal, and invariants computed once ---
+
+def _write_catalog(tmp_path, recs):
+    p = tmp_path / "catalog.json"
+    p.write_text(json.dumps({"entries": recs}))
+    return str(p)
+
+
+def _with_literal(recs, label, key, indices, literal):
+    rec = next(r for r in recs if r["label"] == label)
+    rec[key] = list(rec[key])
+    for i in indices:
+        rec[key][i] = literal
+    return recs
+
+
+@pytest.mark.parametrize("recs_of, message", [
+    # one bad literal twice in an entry and once more in the next one
+    (lambda: _with_literal(_with_literal(_records(), "(7|2)", "alpha", (5, 9), "q"), "(7|3)", "gamma", (0,), "q"),
+     "error: (7|2).alpha[5]: bad character at 0 in scalar literal 'q'\n"),
+    (lambda: _with_literal(_with_literal(_records(), "(7|2)", "alpha", (5, 9), "1/0"), "(7|3)", "gamma", (0,), "1/0"),
+     "error: (7|2).alpha[5]: inverse of 0 in Q(z)\n"),
+    # l in a non-parametric entry, twice; (19|0) comes after the families,
+    # which have already made l as a scalar of Q(z)(l)
+    (lambda: _with_literal(_records(), "(10|1)", "alpha", (40, 41), "l"),
+     "error: (10|1).alpha[40]: literal 'l' does not lie in Q(z)\n"),
+    (lambda: _with_literal(_records(), "(19|0)", "alpha", (40, 41), "l"),
+     "error: (19|0).alpha[40]: literal 'l' does not lie in Q(z)\n"),
+])
+def test_repeated_bad_literal_names_its_first_occurrence(tmp_path, capsys, recs_of, message):
+    from superdegen.cli import main
+    path = _write_catalog(tmp_path, recs_of())
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert f"error: {info.value}\n" == message
+    code = main(["--catalog", path, "tables", "--kind", "stab"])
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+def test_entries_share_one_scalar_per_literal(catalog, monkeypatch):
+    import superdegen.catalog as catalog_module
+    calls = []
+    real = catalog_module.parse_scalar
+    monkeypatch.setattr(catalog_module, "parse_scalar", lambda text: calls.append(text) or real(text))
+    again = load_catalog()
+    # 0, 1, -1, 2, -2 over Q(z); 0, 1, -1, l over Q(z)(l)
+    assert sorted(calls) == sorted(["0", "1", "-1", "2", "-2", "0", "1", "-1", "l"])
+    ones = {id(x) for e in again.entries.values() if not e.parametric
+            for plane in e.sc.alpha for row in plane for x in row if x == 1}
+    assert len(ones) == 1
+    # a fresh load makes fresh scalars: nothing is cached across loads
+    assert again.entry("(9|0)").sc.alpha[0][0][0] is not catalog.entry("(9|0)").sc.alpha[0][0][0]
+    assert again.entry("(9|0)").sc == catalog.entry("(9|0)").sc
+
+
+def test_entry_invariants_are_computed_once(monkeypatch):
+    import superdegen.catalog as catalog_module
+    from superdegen.invariants import orbit_dim, stabilizer_dim
+    from superdegen.structure import grading_split
+    fresh = load_catalog()
+    calls = []
+    monkeypatch.setattr(catalog_module, "stabilizer_dim", lambda sc: calls.append(sc) or stabilizer_dim(sc))
+    for e in fresh.entries.values():
+        assert e.split == grading_split(e.sc)
+        assert e.stab_dim == stabilizer_dim(e.sc) == e.expected_stab_dim
+        assert e.orbit_dim == orbit_dim(e.sc) == e.expected_orbit_dim
+        assert e.stab_dim == e.n * e.n - e.n - e.orbit_dim
+    assert len(calls) == len(fresh)

@@ -219,3 +219,53 @@ def test_oracle_literal_round_trip(p):
     assert text == _FractionCyclo8(*p).literal()
     back = parse_scalar(text)
     assert back == x and hash(back) == hash(x)
+
+
+# --- oracle for the rational branch: operands with n1 = n2 = n3 = 0 ---
+
+_rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+_rational_coeffs = st.one_of(st.just(Fraction(0)), _rational).map(lambda a: (a, 0, 0, 0))
+
+
+def _check_pair(p, q):
+    x, y = Cyclo8(*p), Cyclo8(*q)
+    rx, ry = _FractionCyclo8(*p), _FractionCyclo8(*q)
+    _matches(x + y, rx + ry)
+    _matches(x - y, rx - ry)
+    _matches(x * y, rx * ry)
+    for v, rv in ((x, rx), (y, ry)):
+        _matches(v - v, rv - rv)
+        _matches(v + (-v), rv + (-rv))
+        if rv.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                v.inverse()
+        else:
+            _matches(v.inverse(), rv.inverse())
+    if ry.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        _matches(x / y, rx / ry)
+
+
+@_oracle
+@given(_rational_coeffs, _rational_coeffs)
+@example((Fraction(5, 6), 0, 0, 0), (Fraction(-5, 6), 0, 0, 0))
+@example((Fraction(1, 6), 0, 0, 0), (Fraction(1, 3), 0, 0, 0))
+@example((Fraction(0), 0, 0, 0), (Fraction(-7, 12), 0, 0, 0))
+def test_oracle_rational_operands(p, q):
+    _check_pair(p, q)
+
+
+@_oracle
+@given(_rational_coeffs, _coeffs)
+def test_oracle_rational_and_general_operands(p, q):
+    _check_pair(p, q)
+    _check_pair(q, p)
+
+
+def test_rational_branch_keeps_zero_canonical():
+    half = Cyclo8(1) / 2
+    for zero in (half - half, half + (-half), half * C8_ZERO, C8_ZERO * half, C8_ZERO / half):
+        assert zero.c == (0, 0, 0, 0) and zero.d == 1
+    assert (Cyclo8(-3) / 4).inverse().c == (-4, 0, 0, 0) and (Cyclo8(-3) / 4).inverse().d == 3

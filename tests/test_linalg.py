@@ -297,3 +297,191 @@ def test_determinant_matches_leibniz_on_random_matrices():
                  for _ in range(n)] for _ in range(n)]
         m = M(rows)
         assert m.determinant() == _leibniz_determinant(m)
+
+
+# --- the one elimination kernel against the former Gauss-Jordan _echelon ---
+
+def _reference_echelon(m, cols):
+    """Gauss-Jordan on the list of row lists m, in place: each pivot row is
+    normalised and its column cleared above and below.  The former
+    `Matrix._echelon`, kept as the reference for kernel, solve and inverse."""
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        pivot = next((r for r in range(pr, len(m)) if not m[r][pc].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != pr:
+            m[pr], m[pivot] = m[pivot], m[pr]
+        inv = 1 / m[pr][pc]
+        m[pr] = [inv * e for e in m[pr]]
+        for r in range(len(m)):
+            if r == pr:
+                continue
+            f = m[r][pc]
+            if f.is_zero():
+                continue
+            m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return pivots
+
+
+def _reference_kernel_basis(mat):
+    m = mat.to_lists()
+    pivots = _reference_echelon(m, mat.cols)
+    z, one = mat.field.zero, mat.field.one
+    basis = []
+    for f in (c for c in range(mat.cols) if c not in pivots):
+        v = [z] * mat.cols
+        v[f] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_inverse(mat):
+    n = mat.rows
+    z, one = mat.field.zero, mat.field.one
+    m = [list(mat.row(r)) + [one if c == r else z for c in range(n)] for r in range(n)]
+    if _reference_echelon(m, 2 * n) != list(range(n)):
+        raise Singular("matrix is singular")
+    return Matrix(n, n, [e for row in m for e in row[n:]], mat.field)
+
+
+def _reference_solve(mat, rhs):
+    c = mat.cols
+    m = [list(mat.row(r)) + [mat.field.lift(rhs[r])] for r in range(mat.rows)]
+    pivots = _reference_echelon(m, c + 1)
+    if c in pivots:
+        return None
+    x = [mat.field.zero] * c
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][c]
+    return tuple(x)
+
+
+def _same(a, b):
+    """Equal values with equal printed forms, entry by entry."""
+    if a is None or b is None:
+        return a is b
+    a, b = list(a), list(b)
+    return len(a) == len(b) and all(x == y and str(x) == str(y) for x, y in zip(a, b))
+
+
+def _assert_kernel_matches(mat):
+    got, ref = mat.kernel_basis(), _reference_kernel_basis(mat)
+    assert len(got) == len(ref) and all(_same(v, w) for v, w in zip(got, ref))
+
+
+def _assert_inverse_matches(mat):
+    try:
+        ref = _reference_inverse(mat)
+    except Singular:
+        with pytest.raises(Singular):
+            mat.inverse()
+        return
+    assert _same(mat.inverse().entries, ref.entries)
+
+
+def _assert_solve_matches(mat, rhs):
+    got = mat.solve(rhs)
+    assert _same(got, _reference_solve(mat, rhs))
+    return got
+
+
+def _q_entry(rng):
+    if rng.random() < 0.35:
+        return Cyclo8(0)
+    return Cyclo8(rng.randint(-3, 3), rng.randint(-1, 1), 0, rng.randint(-1, 1)) / rng.randint(1, 3)
+
+
+def _degenerate_rows(rng, rows, cols):
+    """Random Q(z) rows with zero rows, copies and combinations of other rows mixed in."""
+    out = [[_q_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2)):
+        out.append([Cyclo8(0)] * cols)
+    for _ in range(rng.randint(0, 2)):
+        out.append(list(rng.choice(out)))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(out), rng.choice(out)
+        f = _q_entry(rng)
+        out.append([x + f * y for x, y in zip(a, b)])
+    rng.shuffle(out)
+    return out
+
+
+def test_one_kernel_matches_reference_on_random_matrices():
+    rng = random.Random(23)
+    inconsistent = singular = 0
+    for _ in range(120):
+        rows = _degenerate_rows(rng, rng.randint(1, 4), rng.randint(1, 5))
+        mat = M(rows)
+        _assert_kernel_matches(mat)
+        rhs = [_q_entry(rng) for _ in range(mat.rows)]
+        inconsistent += _assert_solve_matches(mat, rhs) is None
+        # a right-hand side in the column space is always consistent
+        x = [_q_entry(rng) for _ in range(mat.cols)]
+        assert _assert_solve_matches(mat, mat.apply(x)) is not None
+        n = rng.randint(1, 4)
+        square = M(_degenerate_rows(rng, n, n)[:n]) if rng.random() < 0.5 else M(
+            [[_q_entry(rng) for _ in range(n)] for _ in range(n)])
+        singular += square.determinant().is_zero()
+        _assert_inverse_matches(square)
+    assert inconsistent > 10 and singular > 10
+
+
+def test_one_kernel_pinned_cases():
+    # inconsistent: the rhs is not a combination of the columns
+    mat = M([[1, 2], [2, 4]])
+    assert mat.solve([1, 1]) is None is _reference_solve(mat, [1, 1])
+    assert _same(mat.solve([1, 2]), _reference_solve(mat, [1, 2]))
+    with pytest.raises(Singular):
+        mat.inverse()
+    # no rows at all, and all-zero rows
+    empty = Matrix(0, 3, [], FIELD_C8)
+    assert empty.kernel_basis() == _reference_kernel_basis(empty)
+    zero = M([[0, 0, 0], [0, 0, 0]])
+    assert zero.kernel_basis() == _reference_kernel_basis(zero)
+    assert _same(zero.solve([0, 0]), _reference_solve(zero, [0, 0]))
+    # stale entries: _forward leaves nonzero entries left of the later
+    # pivots here, and the back pass must not read them
+    mat = M([[1, 1, 0, 0], [1, 0, 0, -1], [1, 0, 0, 0]])
+    _assert_kernel_matches(mat)
+    _assert_solve_matches(mat, [1, 2, 3])
+
+
+def test_one_kernel_matches_reference_on_catalog_derivation_systems(catalog):
+    rng = random.Random(29)
+    for e in catalog.entries.values():
+        for graded in (True, False):
+            mat = Matrix.from_rows(derivation_system(e.sc, graded), e.sc.field)
+            _assert_kernel_matches(mat)
+            rhs = [e.sc.field.lift(rng.randint(-2, 2)) for _ in range(mat.rows)]
+            assert _assert_solve_matches(mat, rhs) is None  # 80 random equations in 16 unknowns
+            x = [e.sc.field.lift(rng.randint(-2, 2)) for _ in range(mat.cols)]
+            assert _assert_solve_matches(mat, mat.apply(x)) is not None
+
+
+def test_one_kernel_matches_reference_on_certificate_curves():
+    curves = [c.curve for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    assert len(curves) == 43
+    for g in curves:
+        _assert_inverse_matches(g)
+        _assert_kernel_matches(g)
+        rhs = [T_VAR ** k + k for k in range(g.rows)]
+        _assert_solve_matches(g, rhs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_planted_rank_matrices())
+def test_one_kernel_matches_reference_over_lambda(planted):
+    _, rows = planted
+    mat = Matrix.from_rows(rows, FIELD_LRAT)
+    _assert_kernel_matches(mat)
+    _assert_solve_matches(mat, [L ** r - r for r in range(mat.rows)])
+    if mat.rows <= mat.cols:
+        _assert_inverse_matches(Matrix.from_rows([row[:mat.rows] for row in rows], FIELD_LRAT))

@@ -49,6 +49,7 @@ def test_bench_record_pairs_two_run_records(tmp_path, capsys):
     bench = json.loads((tmp_path / "BENCH_6.json").read_text())
     atlas = bench["end_to_end"]["workloads"]["atlas"]
     assert atlas["seeds"] == [7] and atlas["all_correct_0_failed"]
+    assert atlas["passes"] == {"parent": [1], "change": [1]}
     assert atlas["pass_s"]["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0, "runs": [3.0]}
     assert atlas["pass_s"]["change_better_in_pairs"] == "1 of 1"
     assert atlas["pass_s"]["change_over_parent_median"] == 0.6

@@ -13,7 +13,8 @@ checkouts on the same seeds, then point this tool at both out/ directories:
 For every workload it pairs the --trace 0 runs seed by seed and records,
 for each end-to-end metric, both sides' runs, medians and quartiles
 (statistics.quantiles, n=4), the number of pairs the change wins (ties count
-for neither side) and the ratio of the medians.  The --trace 1 runs of
+for neither side) and the ratio of the medians, plus each run's pass count
+(peak_rss_mb on the fuzz workloads grows with it).  The --trace 1 runs of
 --traced-seed, where present, give the per-layer metrics of both sides.
 Only the run records are read.
 """
@@ -79,7 +80,8 @@ def compare(parent_runs, change_runs, better):
 def end_to_end(parent_dir, change_dir, workload, seeds):
     sides = {side: [_load(d, workload, s, 0) for s in seeds]
              for side, d in (("parent", parent_dir), ("change", change_dir))}
-    out = {"seeds": seeds, "all_correct_0_failed": all(_clean(r) for rs in sides.values() for r in rs)}
+    out = {"seeds": seeds, "all_correct_0_failed": all(_clean(r) for rs in sides.values() for r in rs),
+           "passes": {side: [len(r["passes"]) for r in rs] for side, rs in sides.items()}}
     for metric, better in END_TO_END.items():
         out[metric] = compare(*[[r["metrics"][metric] for r in sides[side]] for side in ("parent", "change")],
                               better)
