@@ -4,6 +4,17 @@ The stabilizer dimension is computed as the dimension of the space of
 derivations commuting with the involution: one exact kernel computation,
 and in characteristic 0 it equals the dimension of the automorphism group.
 The orbit dimension follows by subtracting from the group dimension n^2 - n.
+
+On a validated point the system is taken without the unit.  Equation
+families 1, 2 and 4 hold there: e_1 (index 0) is a two-sided unit fixed by
+the involution.  The rows of (i, j) = (1, 1) read D(e_1) = 2 D(e_1), so
+D(e_1) = 0.  A row with i = 1 or j = 1 then reads D(e_1) e_j = 0 or
+e_i D(e_1) = 0, and a graded row of column c = 1 involves only D(e_1),
+because sigma(e_1) = e_1; all of them follow from D(e_1) = 0.  The other
+rows use D(e_1) only in terms c^1_ij D(e_1) and D(e_1) gamma, which vanish.
+So the derivations are the solutions of the rows with i, j >= 2 and
+c >= 2 in the n(n - 1) unknowns D(e_c), c >= 2: for n = 4 a 48 x 12 system
+(36 x 12 ungraded) where the full one is 80 x 16 (64 x 16).
 """
 
 from __future__ import annotations
@@ -22,47 +33,57 @@ class WrongComponent(ValueError):
     pass
 
 
-def derivation_system(sc: StructureConstants, graded: bool = True):
-    """Rows of the linear system cutting out (graded) derivations D, as vectors
-    in the n*n unknowns D[r][c] (row-major)."""
+def _derivation_rows(sc: StructureConstants, graded: bool, first: int):
+    """Rows of the derivation system on the indices first..n-1, in the
+    unknowns D[r][c] with c >= first, row-major (D[r][c] is the coefficient
+    of e_r in D(e_c))."""
     n = sc.n
+    w = n - first
     z = sc.field.zero
     terms, gamma = sc.terms, sc.gamma
     rows = []
     # D(e_i e_j) = D(e_i) e_j + e_i D(e_j), coefficient of e_k: row k of block
-    for i in range(n):
-        for j in range(n):
-            block = [[z] * (n * n) for _ in range(n)]
+    for i in range(first, n):
+        for j in range(first, n):
+            block = [[z] * (n * w) for _ in range(n)]
             for l, a in terms[i][j].items():
-                for k in range(n):
-                    block[k][k * n + l] += a
+                if l >= first:
+                    for k in range(n):
+                        block[k][k * w + l - first] += a
             for l in range(n):
                 for k, b in terms[l][j].items():
-                    block[k][l * n + i] -= b
+                    block[k][l * w + i - first] -= b
                 for k, c in terms[i][l].items():
-                    block[k][l * n + j] -= c
+                    block[k][l * w + j - first] -= c
             rows.extend(block)
     if graded:
         # D gamma = gamma D
         for r in range(n):
-            for c in range(n):
-                row = [z] * (n * n)
-                for l in range(n):
+            for c in range(first, n):
+                row = [z] * (n * w)
+                for l in range(first, n):
                     g = gamma[l][c]
                     if not g.is_zero():
-                        row[r * n + l] = row[r * n + l] + g
+                        row[r * w + l - first] = row[r * w + l - first] + g
+                for l in range(n):
                     g2 = gamma[r][l]
                     if not g2.is_zero():
-                        row[l * n + c] = row[l * n + c] - g2
+                        row[l * w + c - first] = row[l * w + c - first] - g2
                 rows.append(row)
     return rows
 
 
+def derivation_system(sc: StructureConstants, graded: bool = True):
+    """Rows of the linear system cutting out (graded) derivations D, as vectors
+    in the n*n unknowns D[r][c] (row-major)."""
+    return _derivation_rows(sc, graded, 0)
+
+
 def stabilizer_dim(sc: StructureConstants, graded: bool = True) -> int:
     """Kernel dimension of the derivation system; with graded=False the
-    grading is ignored and the result is the underlying algebra's value."""
-    rows = derivation_system(sc, graded)
-    m = Matrix.from_rows(rows, sc.field)
+    grading is ignored and the result is the underlying algebra's value.
+    A validated point takes the system without the unit (module docstring)."""
+    m = Matrix.from_rows(_derivation_rows(sc, graded, 1 if sc.validated else 0), sc.field)
     return m.cols - m.rank()
 
 

@@ -40,9 +40,21 @@ once that many points have been evaluated, all giving rank at most r', the
 residual's rank over Q(z)(l) is exactly r'.  The points are l = 0, 1, 2,
 ... in turn; evaluation stops early once r' = min(rows, cols) of the
 residual.
+
+When no coefficient of the cleared rows has a z-part, all of this runs on
+their integer image, on Python ints: each row is multiplied by the lcm of
+its coefficient denominators, and elimination goes without fractions.  A
+row below a pivot p with entry a in the pivot column becomes p*row - a*prow,
+divided by the gcd of its coefficients.  Each row is then a nonzero
+constant multiple of the row the elimination over Q(z) leaves, so the pivot
+columns, the residual's zero pattern, its degree d, the stop rule and the
+rank at every point are the same.  A coefficient with a z-part keeps the
+elimination over Q(z).
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
 from .polys import ONE_POLY, padd, pdivmod, peval, pgcd, pmul, pscale
@@ -100,14 +112,15 @@ def _distinct_nonzero_rows(rows):
     return out
 
 
-def _forward(m, cols):
+def _forward(m, cols, invs=None):
     """Forward elimination in place on the list of row lists m.
 
     Each pivot clears its column below itself only, and pivot rows are not
     normalised.  Entries left of the pivot in rows below it are not updated:
     no later step reads them, so a pivot row may hold stale nonzero entries
     left of its pivot.  Returns the pivot columns in order (the pivot of row
-    i is m[i][pivot_cols[i]]) and the number of row swaps."""
+    i is m[i][pivot_cols[i]]) and the number of row swaps.  When invs is a
+    list, the inverse of each pivot is appended to it, in pivot order."""
     pivot_cols, swaps = [], 0
     pr = 0
     for pc in range(cols):
@@ -119,6 +132,8 @@ def _forward(m, cols):
             swaps += 1
         prow = m[pr]
         inv = prow[pc].inverse()
+        if invs is not None:
+            invs.append(inv)
         tail = [(c, prow[c]) for c in range(pc + 1, cols) if not prow[c].is_zero()]
         for r in range(pr + 1, len(m)):
             row = m[r]
@@ -143,16 +158,17 @@ def _reduced(m, field):
     reads only the nonzero entries right of each pivot, which `_forward`
     has kept exact; the stale entries left of a pivot are never read.  Row i
     is rewritten whole: zero left of its pivot, one at it, its entries
-    divided by the pivot right of it.  That row then clears its pivot
-    column in the rows above.  Rows below the last pivot are left as they
-    are."""
+    divided by the pivot right of it, with the inverse `_forward` took.
+    That row then clears its pivot column in the rows above.  Rows below
+    the last pivot are left as they are."""
     width = len(m[0]) if m else 0
-    pivot_cols, _ = _forward(m, width)
+    invs = []
+    pivot_cols, _ = _forward(m, width, invs)
     zero, one = field.zero, field.one
     for i in range(len(pivot_cols) - 1, -1, -1):
         pc = pivot_cols[i]
         prow = m[i]
-        inv = prow[pc].inverse()
+        inv = invs[i]
         tail = [(c, prow[c] * inv) for c in range(pc + 1, width) if not prow[c].is_zero()]
         row = [zero] * width
         row[pc] = one
@@ -172,36 +188,120 @@ def _reduced(m, field):
 
 def _cleared_row(row):
     """A row of LambdaRat times the lcm of its denominators: polynomials in l."""
-    lcm = ONE_POLY
+    den = ONE_POLY
     for x in row:
-        if x.den != lcm and len(x.den) > 1:
-            g = pgcd(lcm, x.den, C8_ZERO)
-            lcm = pmul(lcm, pdivmod(x.den, g, C8_ZERO)[0], C8_ZERO)
-    return [x.num if x.den == lcm else pmul(x.num, pdivmod(lcm, x.den, C8_ZERO)[0], C8_ZERO)
+        if x.den != den and len(x.den) > 1:
+            g = pgcd(den, x.den, C8_ZERO)
+            den = pmul(den, pdivmod(x.den, g, C8_ZERO)[0], C8_ZERO)
+    return [x.num if x.den == den else pmul(x.num, pdivmod(den, x.den, C8_ZERO)[0], C8_ZERO)
             for x in row]
 
 
-def _rank_by_evaluation(rows, cols):
-    """Rank over Q(z)(l) of nonzero LambdaRat rows, certified as the module
-    docstring explains.  Only one point's evaluated residual is held at a time."""
-    const, moving = [], []
-    for row in rows:
-        polys = _cleared_row(row)
-        if all(len(p) <= 1 for p in polys):
-            const.append([p[0] if p else C8_ZERO for p in polys])
-        else:
-            moving.append(polys)
-    pivot_cols, _ = _forward(const, cols)
+def _integer_rows(polys):
+    """Rows of Q(z)[l] polynomials, each times the lcm of its coefficient
+    denominators, as lists of int coefficients; None if any coefficient has
+    a z-part."""
+    out = []
+    for row in polys:
+        den = 1
+        for p in row:
+            for x in p:
+                _, a1, a2, a3 = x.c
+                if a1 or a2 or a3:
+                    return None
+                den = lcm(den, x.d)
+        out.append([[x.c[0] * (den // x.d) for x in p] for p in row])
+    return out
+
+
+def _int_forward(m, cols):
+    """`_forward` without fractions on rows of ints: each row below a pivot p
+    becomes p*row - a*prow, divided by the gcd of its entries.  Every row is
+    a nonzero multiple of the row `_forward` would leave, so the pivot
+    columns are the same.  Returns them."""
+    pivot_cols, pr = [], 0
+    for pc in range(cols):
+        pivot = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if pivot is None:
+            continue
+        m[pr], m[pivot] = m[pivot], m[pr]
+        prow = m[pr]
+        p = prow[pc]
+        for r in range(pr + 1, len(m)):
+            a = m[r][pc]
+            if a:
+                row = [p * x - a * y for x, y in zip(m[r], prow)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return pivot_cols
+
+
+def _int_combine(p, x, a, y):
+    """p*x - y*a for int polynomials x and a and ints p != 0 and y."""
+    out = [p * c for c in x]
+    if y:
+        out += [0] * (len(a) - len(out))
+        for i, c in enumerate(a):
+            out[i] -= y * c
+        while out and not out[-1]:
+            out.pop()
+    return out
+
+
+def _reduce_c8(const, moving, cols):
+    """Eliminate the constant rows over Q(z) and reduce the moving rows by
+    their pivot rows, in place; returns the pivot columns."""
+    invs = []
+    pivot_cols, _ = _forward(const, cols, invs)
     # pivot rows may hold stale entries left of their pivot; only their
     # pivot and the entries right of it are read
-    for prow, pc in zip(const, pivot_cols):
-        inv = prow[pc].inverse()
+    for prow, pc, inv in zip(const, pivot_cols, invs):
         tail = [(c, -prow[c] * inv) for c in range(pc + 1, cols) if not prow[c].is_zero()]
         for row in moving:
             a = row[pc]
             if a:
                 for c, f in tail:
                     row[c] = padd(row[c], pscale(a, f))
+    return pivot_cols
+
+
+def _reduce_int(const, moving, cols):
+    """`_reduce_c8` without fractions: a moving row becomes p*row - a*prow,
+    divided by the gcd of its coefficients, a nonzero multiple of the row
+    `_reduce_c8` leaves."""
+    pivot_cols = _int_forward(const, cols)
+    for prow, pc in zip(const, pivot_cols):
+        p = prow[pc]
+        for k, row in enumerate(moving):
+            a = row[pc]
+            if a:
+                row = [_int_combine(p, x, a, y) for x, y in zip(row, prow)]
+                g = gcd(*(c for x in row for c in x))
+                moving[k] = [[c // g for c in x] for x in row] if g > 1 else row
+    return pivot_cols
+
+
+def _rank_by_evaluation(rows, cols):
+    """Rank over Q(z)(l) of nonzero LambdaRat rows, certified as the module
+    docstring explains; on Python ints when no coefficient has a z-part.
+    Only one point's evaluated residual is held at a time."""
+    polys = [_cleared_row(row) for row in rows]
+    ints = _integer_rows(polys)
+    if ints is None:
+        zero, reduce, forward = C8_ZERO, _reduce_c8, lambda m, w: _forward(m, w)[0]
+    else:
+        polys, zero, reduce, forward = ints, 0, _reduce_int, _int_forward
+    const, moving = [], []
+    for row in polys:
+        if all(len(p) <= 1 for p in row):
+            const.append([p[0] if p else zero for p in row])
+        else:
+            moving.append(row)
+    pivot_cols = reduce(const, moving, cols)
     pivots = set(pivot_cols)
     free = [c for c in range(cols) if c not in pivots]
     residual = [res for res in ([row[c] for c in free] for row in moving) if any(res)]
@@ -209,8 +309,7 @@ def _rank_by_evaluation(rows, cols):
     full = min(len(residual), len(free))
     r = points = 0
     while r < full and points < (r + 1) * d + 1:
-        at = [[peval(p, points, C8_ZERO) for p in row] for row in residual]
-        r = max(r, len(_forward(at, len(free))[0]))
+        r = max(r, len(forward([[peval(p, points, zero) for p in row] for row in residual], len(free))))
         points += 1
     return len(pivot_cols) + r
 

@@ -43,17 +43,19 @@ def pneg(a) -> tuple:
 
 
 def pmul(a, b, zero) -> tuple:
+    """Product of two polynomials.  Each output slot starts from its first
+    product, not from zero plus it; a slot no product reaches is zero."""
     if not a or not b:
         return ()
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca.is_zero():
             continue
         for j, cb in enumerate(b):
-            if cb.is_zero():
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return pstrip(out)
+            if not cb.is_zero():
+                x, k = ca * cb, i + j
+                out[k] = x if out[k] is None else out[k] + x
+    return pstrip(zero if c is None else c for c in out)
 
 
 def pscale(a, s) -> tuple:

@@ -4,7 +4,8 @@ import pytest
 
 from superdegen.invariants import (WrongComponent, closed_set_member, derivation_system, fingerprint,
                                    orbit_dim, radical_basis, square_zero_subspace_dim2, stabilizer_dim)
-from superdegen.structure import grading_split, random_group_element, transport
+from superdegen.linalg import FIELD_C8, FIELD_LRAT, Matrix
+from superdegen.structure import StructureConstants, grading_split, random_group_element, transport
 
 
 def test_stabilizer_examples(catalog):
@@ -63,7 +64,6 @@ def test_radical_matches_square_zero_oracle_on_dim2(catalog):
         assert len(trace_form) == len(direct), e.label
         if direct:
             # the two lines agree: each vector is in the span of the other
-            from superdegen.linalg import Matrix
             m = Matrix.from_rows([list(direct[0])], e.sc.field)
             stacked = Matrix.from_rows([list(direct[0]), list(trace_form[0])], e.sc.field)
             assert stacked.rank() == 1, e.label
@@ -138,3 +138,52 @@ def test_derivation_rows_match_reference(catalog):
         sc = catalog.entry(label).sc
         for point in (sc, transport(random_group_element(rng, 4, sc.field), sc)):
             assert derivation_system(point, graded=False) == _reference_derivation_rows(point), label
+
+
+# --- the unit-free system of stabilizer_dim against the full system ---
+
+def _full_corank(sc, graded):
+    """n^2 minus the rank of the full derivation system, unit rows and columns included."""
+    rows = derivation_system(sc, graded)
+    return sc.n * sc.n - Matrix.from_rows(rows, sc.field).rank()
+
+
+def test_unit_free_stabilizer_matches_full_system_on_catalog(catalog):
+    for label in catalog.labels():
+        sc = catalog.entry(label).sc
+        assert sc.validated
+        for graded in (True, False):
+            assert stabilizer_dim(sc, graded) == _full_corank(sc, graded), (label, graded)
+
+
+def test_unit_free_stabilizer_matches_full_system_on_transported_points(catalog):
+    rng = random.Random(37)
+    labels = [l for l in catalog.labels() if catalog.entry(l).sc.field is FIELD_C8]
+    points = [transport(random_group_element(rng, 4), catalog.get(l)) for l in rng.sample(labels, 12)]
+    for j in range(3):
+        sc = catalog.entry(f"(18;l|{j})").sc
+        points += [transport(random_group_element(rng, 4, sc.field), sc) for _ in range(2)]
+    assert {p.field for p in points} == {FIELD_C8, FIELD_LRAT}
+    for point in points:
+        assert point.validated
+        for graded in (True, False):
+            assert stabilizer_dim(point, graded) == _full_corank(point, graded)
+
+
+def test_unvalidated_point_takes_the_full_system(catalog):
+    # structure constants that are not a unital point: without a unit, the
+    # unit-free system would leave out the 4 unknowns of D(e_1)
+    n, z, one = 4, FIELD_C8.zero, FIELD_C8.one
+    alpha = [[[z] * n for _ in range(n)] for _ in range(n)]
+    ident = [[one if r == c else z for c in range(n)] for r in range(n)]
+    bare = StructureConstants(n, alpha, ident, FIELD_C8)
+    assert not bare.validated
+    assert stabilizer_dim(bare) == 16 == _full_corank(bare, True)
+    # a valid point that has not been validated gets the same answer both ways
+    rng = random.Random(41)
+    for label in ("(16|1)", "(3|2)", "(18;l|1)"):
+        sc = catalog.entry(label).sc
+        moved = transport(random_group_element(rng, 4, sc.field), sc, revalidate=False)
+        assert not moved.validated
+        for graded in (True, False):
+            assert stabilizer_dim(moved, graded) == _full_corank(moved, graded)

@@ -1,5 +1,7 @@
 import importlib.util
 import random
+from collections import Counter
+from contextlib import contextmanager
 from itertools import permutations
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superdegen import linalg
 from superdegen.certs import load_cert_file
 from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.invariants import derivation_system
@@ -139,6 +142,39 @@ def test_rank_matches_reference_on_catalog_derivation_systems(catalog):
 L = LAMBDA
 
 
+@contextmanager
+def _rank_branches():
+    """Counts the ranks over Q(z)(l) taken on the integer image ("int") and
+    those kept over Q(z) ("c8")."""
+    ran = Counter()
+    real = linalg._integer_rows
+
+    def spy(polys):
+        out = real(polys)
+        ran["c8" if out is None else "int"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_integer_rows", spy)
+        yield ran
+
+
+def _has_z(rows):
+    """Some entry has a coefficient with a z-part, in its numerator or denominator."""
+    return any(c.c[1:] != (0, 0, 0) for row in rows for x in row
+               for p in (LambdaRat.coerce(x).num, LambdaRat.coerce(x).den) for c in p)
+
+
+def _rank_on_its_branch(rows):
+    """The rank of rows over Q(z)(l), checked to have taken the integer image
+    exactly when no entry has a z-part."""
+    m = Matrix.from_rows(rows, FIELD_LRAT)
+    with _rank_branches() as ran:
+        rank = m.rank()
+    assert ran == {"c8" if _has_z(m.to_lists()) else "int": 1}
+    return m, rank
+
+
 @pytest.mark.parametrize("rows, rank", [
     ([[L, 0], [0, L - 1]], 2),  # rank 1 at l = 0 and l = 1
     ([[L * (L - 1) * (L - 2), 1], [0, 0]], 1),
@@ -147,23 +183,36 @@ L = LAMBDA
     ([[1 / (L - 1), 1 / L], [1, 1]], 2),  # denominators that vanish at evaluation points
     ([[L / (L + 1), 1], [L * (L - 1), L * L - 1]], 1),  # second row is l^2 - 1 times the first
     ([[0, 0], [0, 0]], 0),
+    # a z-part keeps the elimination over Q(z)
+    ([[L, ZETA], [ZETA * L, ZETA * ZETA]], 1),  # second row is z times the first
+    ([[L - ZETA, 0], [0, L * (L - 1)]], 2),
+    ([[1 / (L + ZETA), 1], [1, L + ZETA]], 1),
+    ([[L / 3, Cyclo8(1) / 2], [L * L / 5, L / 7]], 2),  # rational, with denominators in Q
 ])
 def test_rank_over_lambda_pinned(rows, rank):
-    m = Matrix.from_rows(rows, FIELD_LRAT)
-    assert m.rank() == rank == _reference_rank(m)
+    m, got = _rank_on_its_branch(rows)
+    assert got == rank == _reference_rank(m)
 
 
 _FACTORS = (L, L - 1, L - 2, L + ZETA, L * L + 1)
+_RATIONAL_FACTORS = (L, L - 1, L - 2, 2 * L + 3, L * L + 1)
 
 
 @st.composite
-def _lrat_entries(draw):
+def _lrat_entries(draw, rational=False):
+    """Entries of l-degree up to 2 with denominators; with rational=True no
+    coefficient has a z-part, so a rank takes the integer image."""
     if draw(st.integers(0, 4)) == 0:
         return LambdaRat.coerce(0)
-    x = LambdaRat.coerce(Cyclo8(draw(st.integers(-3, 3)) or 1, draw(st.integers(-1, 1))))
-    for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=2)):
+    if rational:
+        factors = _RATIONAL_FACTORS
+        x = LambdaRat.coerce(Cyclo8(draw(st.integers(-3, 3)) or 1) / draw(st.integers(1, 4)))
+    else:
+        factors = _FACTORS
+        x = LambdaRat.coerce(Cyclo8(draw(st.integers(-3, 3)) or 1, draw(st.integers(-1, 1))))
+    for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
         x = x * f
-    for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=1)):
+    for f in draw(st.lists(st.sampled_from(factors), max_size=1)):
         x = x / f
     return x
 
@@ -171,10 +220,12 @@ def _lrat_entries(draw):
 @st.composite
 def _planted_rank_matrices(draw):
     """B * C with C of k rows, so rank at most k; then zero rows and copies
-    of rows are mixed in.  Entries have l-degree up to 2 and denominators."""
+    of rows are mixed in.  Entries have l-degree up to 2 and denominators;
+    in about half the matrices no coefficient has a z-part."""
     m, k, n = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
-    b = [[draw(_lrat_entries()) for _ in range(k)] for _ in range(m)]
-    c = [[draw(_lrat_entries()) for _ in range(n)] for _ in range(k)]
+    entries = _lrat_entries(rational=draw(st.booleans()))
+    b = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    c = [[draw(entries) for _ in range(n)] for _ in range(k)]
     rows = [[sum((b[i][j] * c[j][col] for j in range(k)), LambdaRat.coerce(0)) for col in range(n)]
             for i in range(m)]
     rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
@@ -184,12 +235,17 @@ def _planted_rank_matrices(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_planted_rank_matrices())
-def test_rank_over_lambda_matches_reference(planted):
+def _planted_rank_matches_reference(planted):
     k, rows = planted
-    m = Matrix.from_rows(rows, FIELD_LRAT)
-    rank = m.rank()
+    m, rank = _rank_on_its_branch(rows)
     assert rank == _reference_rank(m)
     assert rank <= k
+
+
+def test_rank_over_lambda_matches_reference():
+    with _rank_branches() as ran:
+        _planted_rank_matches_reference()
+    assert ran["int"] >= 10 and ran["c8"] >= 10, ran
 
 
 def test_residual_rank_reads_the_pivot_columns_of_forward():
@@ -219,28 +275,39 @@ def test_residual_rank_reads_the_pivot_columns_of_forward():
       [L, L, 0, L * L / (L - 1)]], 4),
     ([[1, 0, 1], [0, 1, 1], [L * L / (L + 1), L ** 3, L * L / (L + 1) + L ** 3]], 2),
     ([[1, 0, 0], [L * L, (L - 1) / (L * L + 1), 0], [L ** 3, 0, (L - 1) / (L * L + 1)]], 3),
+    # rational constant rows with denominators in Q, and moving rows whose
+    # reduction grows their integer coefficients
+    ([[Cyclo8(1) / 2, Cyclo8(1) / 3, 0, 1], [Cyclo8(2) / 3, 0, Cyclo8(1) / 5, 0],
+      [L / 7, L * L / 2, L / 3, L / 5], [L * L / 3, 0, L / 6, 1 / (L + 1)]], 4),
+    ([[3, 6, 9], [2, 4, 7], [L * 5, L * 10, L * 16]], 2),  # third row is l times the sum of the others
+    ([[2, 4], [L / 6, L / 3]], 1),
 ])
 def test_residual_rank_pinned(rows, rank):
-    m = Matrix.from_rows(rows, FIELD_LRAT)
-    assert m.rank() == rank == _reference_rank(m)
+    m, got = _rank_on_its_branch(rows)
+    assert got == rank == _reference_rank(m)
 
 
 _CONSTANTS = (0, 1, -1, 2, ZETA, 1 - ZETA)
+_RATIONAL_CONSTANTS = (0, 1, -1, 2, Cyclo8(1) / 3, Cyclo8(-5) / 2)
 
 
 @st.composite
 def _planted_rank_matrices_with_constant_rows(draw):
     """B * C of rank at most k, where the first kc rows of C are constant in
     l and some rows of B combine only those with constant coefficients, so
-    a share of the product's rows is constant; then zero rows and copies."""
+    a share of the product's rows is constant; then zero rows and copies.
+    In about half the matrices no coefficient has a z-part."""
     k, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     kc = draw(st.integers(1, k))
-    const = lambda: LambdaRat.coerce(draw(st.sampled_from(_CONSTANTS)))
+    rational = draw(st.booleans())
+    constants = _RATIONAL_CONSTANTS if rational else _CONSTANTS
+    entries = _lrat_entries(rational=rational)
+    const = lambda: LambdaRat.coerce(draw(st.sampled_from(constants)))
     c = [[const() for _ in range(n)] for _ in range(kc)]
-    c += [[draw(_lrat_entries()) for _ in range(n)] for _ in range(k - kc)]
+    c += [[draw(entries) for _ in range(n)] for _ in range(k - kc)]
     b = [[const() if j < kc else LambdaRat.coerce(0) for j in range(k)]
          for _ in range(draw(st.integers(1, 3)))]
-    b += [[draw(_lrat_entries()) for _ in range(k)] for _ in range(draw(st.integers(0, 3)))]
+    b += [[draw(entries) for _ in range(k)] for _ in range(draw(st.integers(0, 3)))]
     rows = [[sum((bi[j] * c[j][col] for j in range(k)), LambdaRat.coerce(0)) for col in range(n)]
             for bi in b]
     rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
@@ -250,12 +317,17 @@ def _planted_rank_matrices_with_constant_rows(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_planted_rank_matrices_with_constant_rows())
-def test_residual_rank_with_constant_rows_matches_reference(planted):
+def _residual_rank_matches_reference(planted):
     k, rows = planted
-    m = Matrix.from_rows(rows, FIELD_LRAT)
-    rank = m.rank()
+    m, rank = _rank_on_its_branch(rows)
     assert rank == _reference_rank(m)
     assert rank <= k
+
+
+def test_residual_rank_with_constant_rows_matches_reference():
+    with _rank_branches() as ran:
+        _residual_rank_matches_reference()
+    assert ran["int"] >= 10 and ran["c8"] >= 10, ran
 
 
 def test_rank_matches_reference_on_transported_family_systems(catalog):

@@ -9,14 +9,20 @@ structurally (num and den, coefficient by coefficient), in their printed
 literal, and under substitute, substitute_lambda, order_at_zero and
 eval_at_zero; a ZeroDivisionError or PoleAtZero on one side must be raised
 on the other.
+
+The former polys.pmul, which started every output slot from zero, is kept
+as _reference_pmul; the products of the current one must be the same
+coefficient by coefficient and print the same.
 """
 
 import math
 import operator
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from superdegen import polys
 from superdegen.cyclo import C8_ONE, C8_ZERO, ZETA, Cyclo8, cyclo_literal
 from superdegen.polys import padd, pdivmod, peval, pgcd, pmul, pneg, porder, pscale, pstrip
 from superdegen.scalars import LAMBDA, LambdaRat
@@ -506,3 +512,76 @@ def test_shared_body_matches_the_reference_bodies(tree):
             # a constant coefficient may be stored as Cyclo8 on one side and
             # as a constant LambdaRat on the other; they are equal and print alike
             assert got_0[0] == _lift_ref(want_0[0]) and str(got_0[0]) == str(want_0[0])
+
+
+# ------------------------------------------------------------ pmul
+
+def _reference_pmul(a, b, zero):
+    """The former polys.pmul: every output slot starts from zero."""
+    if not a or not b:
+        return ()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca.is_zero():
+            continue
+        for j, cb in enumerate(b):
+            if cb.is_zero():
+                continue
+            out[i + j] = out[i + j] + ca * cb
+    return pstrip(out)
+
+
+def _assert_same_poly(got, want):
+    """Equal coefficient by coefficient, in type and in printed form."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y) and x == y and str(x) == str(y)
+        if isinstance(x, Cyclo8):
+            assert (x.c, x.d) == (y.c, y.d)
+
+
+# a third of the coefficients zero, the rest with or without a z-part and a denominator
+_pcoeff = st.one_of(st.just(C8_ZERO), st.builds(lambda a, b, d: Cyclo8(a, b) / d, st.integers(-3, 3),
+                                                st.sampled_from((0, 0, 1, -1)), st.integers(1, 3)))
+_ppoly = st.lists(_pcoeff, max_size=4).map(pstrip)
+_lpoly = st.lists(st.one_of(_pcoeff, st.builds(lambda c, k: c * (LAMBDA + k), _pcoeff, st.integers(-2, 2))),
+                  max_size=3).map(pstrip)
+
+
+def _mirror(p):
+    """p(-x): p * _mirror(p) has only even powers, so its odd terms cancel."""
+    return tuple(c if i % 2 == 0 else -c for i, c in enumerate(p))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ppoly, _ppoly, st.booleans())
+@example((C8_ONE, C8_ONE), (C8_ONE, -C8_ONE), False)  # (1 + l)(1 - l): the middle term cancels
+@example((Cyclo8(1) / 2, C8_ZERO, Cyclo8(1) / 3), (Cyclo8(1) / 2, ZETA), True)
+def test_pmul_matches_the_reference(a, b, mirrored):
+    if mirrored:
+        b = _mirror(a)
+    _assert_same_poly(pmul(a, b, C8_ZERO), _reference_pmul(a, b, C8_ZERO))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_lpoly, _lpoly, st.booleans())
+def test_pmul_matches_the_reference_on_lambda_coefficients(a, b, mirrored):
+    # the numerators and denominators of TRat hold LambdaRat and Cyclo8 coefficients, mixed
+    if mirrored:
+        b = _mirror(a)
+    _assert_same_poly(pmul(a, b, C8_ZERO), _reference_pmul(a, b, C8_ZERO))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ppoly, _ppoly.filter(bool), _lpoly, _lpoly.filter(bool))
+def test_products_print_as_with_the_reference_pmul(num, den, tnum, tden):
+    # p(x) * p(-x) makes the middle terms cancel
+    def products():
+        return [str(x) for x in (LambdaRat(num, den) * LambdaRat(_mirror(num), den),
+                                 LambdaRat(num) * LambdaRat(_mirror(num)),
+                                 TRat(tnum, tden) * TRat(_mirror(tnum), tden) * T_VAR)]
+
+    got = products()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polys, "pmul", _reference_pmul)
+        assert products() == got

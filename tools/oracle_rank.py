@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check Matrix.rank against sympy on the derivation systems of the catalog:
+"""Check Matrix.rank and stabilizer_dim against sympy on the derivation
+systems of the catalog:
 
     python3 tools/oracle_rank.py
 
@@ -7,8 +8,10 @@ For every one of the 61 catalog entries, graded and ungraded, it builds
 the derivation system of invariants.derivation_system and takes its rank
 twice: with the package's Matrix.rank, and with sympy's
 DomainMatrix over QQ<zeta8>, or over the fraction field QQ<zeta8>(l) for the
-(18;l|j) families.  It prints one line per system and exits 1 on any
-mismatch.  Needs sympy.
+(18;l|j) families.  It also checks invariants.stabilizer_dim, which ranks
+the smaller system without the unit, against n^2 minus sympy's rank of the
+full one.  It prints one line per system and exits 1 on any mismatch.
+Needs sympy.
 """
 
 import os
@@ -21,7 +24,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from superdegen.catalog import load_catalog
-from superdegen.invariants import derivation_system
+from superdegen.invariants import derivation_system, stabilizer_dim
 from superdegen.linalg import FIELD_LRAT, Matrix
 from superdegen.scalars import LambdaRat
 
@@ -55,18 +58,22 @@ def sympy_rank(rows, field) -> int:
 def main():
     catalog = load_catalog()
     t0 = time.perf_counter()
-    systems = mismatches = 0
+    systems = mismatches = stab_mismatches = 0
     for label in catalog.labels():
         sc = catalog.entry(label).sc
         for graded in (True, False):
             rows = derivation_system(sc, graded)
             ours, theirs = Matrix.from_rows(rows, sc.field).rank(), sympy_rank(rows, sc.field)
+            stab, corank = stabilizer_dim(sc, graded), sc.n * sc.n - theirs
             systems += 1
             mismatches += ours != theirs
-            mark = "ok" if ours == theirs else "MISMATCH"
-            print(f"[{mark}] {label} {'graded' if graded else 'ungraded'}: rank {ours}, sympy {theirs}")
-    print(f"{systems} systems, {mismatches} mismatches, {time.perf_counter() - t0:.1f} s")
-    return 1 if mismatches else 0
+            stab_mismatches += stab != corank
+            mark = "ok" if (ours, stab) == (theirs, corank) else "MISMATCH"
+            print(f"[{mark}] {label} {'graded' if graded else 'ungraded'}: rank {ours}, sympy {theirs}; "
+                  f"stabilizer_dim {stab}, n^2 - sympy {corank}")
+    print(f"{systems} systems, {mismatches} rank mismatches, {stab_mismatches} stabilizer_dim mismatches, "
+          f"{time.perf_counter() - t0:.1f} s")
+    return 1 if mismatches or stab_mismatches else 0
 
 
 if __name__ == "__main__":
