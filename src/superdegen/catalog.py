@@ -13,7 +13,8 @@ distinct (field, literal) pair once per load, in a dict local to that
 load, and the entries share the resulting scalars, which are immutable.
 A bad literal fails at its first occurrence, so the error names that one.
 
-Each entry keeps the grading split its validation computes, and computes
+The same dict keeps one grading split per distinct (field, gamma literals),
+six for the 61 default entries.  Each entry keeps its split, and computes
 its stabilizer dimension once, on first use.
 """
 
@@ -30,7 +31,8 @@ from .invariants import fingerprint, stabilizer_dim
 from .linalg import FIELD_C8, FIELD_LRAT, Matrix
 from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat, scalar_substitute
-from .structure import GradedSplit, StructureConstants, grading_split, transport_algebra, validate
+from .structure import (GradedSplit, NotInGroup, StructureConstants, grading_split, group_element,
+                        transport_algebra, validate)
 
 
 class CatalogError(ValueError):
@@ -91,7 +93,7 @@ def _parse_in(field, literal, where, parsed):
     """The literal lifted into field; `parsed` maps (field name, literal) to
     the scalars already made, and gains this one."""
     key = (field.name, literal)
-    if key in parsed:
+    if type(literal) is str and key in parsed:
         return parsed[key]
     try:
         v = parse_scalar(literal)
@@ -111,7 +113,8 @@ def _mentions_lambda(x) -> bool:
 
 def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
     """One validated entry; `parsed` is the literal dict `_parse_in` shares
-    across the entries of one load."""
+    across the entries of one load, which also maps (field name, gamma
+    literals) to the grading split made for them."""
     parsed = {} if parsed is None else parsed
     for key in ("label", "n", "component", "parametric", "alpha", "gamma"):
         if key not in rec:
@@ -120,6 +123,11 @@ def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
     n = rec["n"]
     parametric = bool(rec["parametric"])
     field = FIELD_LRAT if parametric else FIELD_C8
+    if type(n) is not int:
+        raise CatalogParseError(f"{label}: n must be an integer, got {n!r}")
+    for key in ("alpha", "gamma"):
+        if type(rec[key]) is not list:
+            raise CatalogParseError(f"{label}: {key} must be a list of literals")
     if len(rec["alpha"]) != n ** 3:
         raise CatalogParseError(f"{label}: alpha must hold {n ** 3} literals")
     if len(rec["gamma"]) != n ** 2:
@@ -134,7 +142,8 @@ def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
         validate(sc)
     except Exception as exc:
         raise ValidationError(f"{label}: {exc}") from exc
-    split = grading_split(sc)
+    key = (field.name, tuple(rec["gamma"]))
+    split = parsed[key] = parsed.get(key) or grading_split(sc)
     if split.dim0 != rec["component"]:
         raise ValidationError(
             f"{label}: declared component {rec['component']} but the involution splits {split.dim0}+{n - split.dim0}"
@@ -147,10 +156,14 @@ def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
     change = None
     if rec.get("u_base_change"):
         lits = rec["u_base_change"]
-        if len(lits) != n * n:
+        if type(lits) is not list or len(lits) != n * n:
             raise CatalogParseError(f"{label}: u_base_change must hold {n * n} literals")
         ents = [_parse_in(field, lit, f"{label}.u_base_change", parsed) for lit in lits]
         change = Matrix(n, n, ents, field)
+        try:
+            group_element(change)
+        except NotInGroup as exc:
+            raise ValidationError(f"{label}: u_base_change: {exc}") from exc
     fam = label.split("|")[0].lstrip("(")
     return CatalogEntry(
         label=label,

@@ -8,6 +8,12 @@ transports the source constants along the composed curve, demands that the
 composed curve be generically invertible, that every transported constant
 be regular at t = 0, and that the limit equal the target constants exactly.
 
+Each transported constant is read as N / det g, with the numerator N from
+the adjugate of the composed curve g (`structure.moved_numerators`): it is
+regular at t = 0 when ord N >= k = ord det g, with limit N[k] / det[k]
+(lowest terms of the expansions at 0, when l := p/q puts t in a
+denominator).  N / det g is reduced only for the detail string of a pole.
+
 A family-limit certificate additionally substitutes a t-rational function
 for the family parameter before running the same pipeline, witnessing that
 the target lies in the closure of the union of the family's orbits.
@@ -28,9 +34,11 @@ from importlib import resources
 from .catalog import FORBIDDEN_LAMBDA, Catalog, UnknownLabel
 from .invariants import closed_set_member
 from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix
+from .cyclo import C8_ZERO
 from .literals import ParseError, parse_scalar
+from .polys import porder
 from .scalars import LambdaRat
-from .structure import NotInGroup, StructureConstants, group_element, transport, validate
+from .structure import NotInGroup, StructureConstants, group_element, moved_numerators, transport, validate
 from .tpoly import TRat, substitute_lambda
 
 VERIFIED = "verified"
@@ -108,6 +116,12 @@ def _sc_over_trat(sc: StructureConstants, lam: TRat | None) -> StructureConstant
     return StructureConstants(sc.n, alpha, gamma, FIELD_TRAT, validated=sc.validated)
 
 
+def _lowest(x: TRat):
+    """The lowest coefficient of the expansion of the nonzero x at t = 0."""
+    lead = x.num[porder(x.num)]
+    return lead if x.is_tpoly() else lead / x.den[porder(x.den)]
+
+
 def verify_specialization(cert: SpecializationCert, catalog: Catalog,
                           source_sc: StructureConstants | None = None,
                           target_sc: StructureConstants | None = None) -> Outcome:
@@ -145,31 +159,22 @@ def verify_specialization(cert: SpecializationCert, catalog: Catalog,
         composed = _lift_matrix_to_trat(pre, lam) * cert.curve
     else:
         composed = cert.curve
-    if composed.determinant().is_zero():
+    # stage (ii): transport and regularity at t = 0 (module docstring)
+    nums, gnums, det = moved_numerators(composed, _sc_over_trat(src, lam), FIELD_TRAT)
+    if not det:
         return Outcome(NOT_VERIFIED, "curve-not-generic", "composed curve is singular for all t")
-    # stage (ii): transport and regularity at t = 0
-    src_t = _sc_over_trat(src, lam)
-    moved = transport(composed, src_t, field=FIELD_TRAT, revalidate=False)
-    limit_alpha = [[[None] * n for _ in range(n)] for _ in range(n)]
-    limit_gamma = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                e = moved.alpha[i][j][k]
-                if e.order_at_zero() < 0:
-                    return Outcome(NOT_VERIFIED, "regularity",
-                                   f"alpha[{i + 1}][{j + 1}][{k + 1}] = {e} has a pole at t = 0")
-                limit_alpha[i][j][k] = e.eval_at_zero()
-    for r in range(n):
-        for c in range(n):
-            e = moved.gamma[r][c]
-            if e.order_at_zero() < 0:
-                return Outcome(NOT_VERIFIED, "regularity",
-                               f"gamma[{r + 1}][{c + 1}] = {e} has a pole at t = 0")
-            limit_gamma[r][c] = e.eval_at_zero()
-    field = FIELD_LRAT if any(
-        isinstance(x, LambdaRat) for plane in limit_alpha for row in plane for x in row
-    ) else FIELD_C8
+    order, low = det.order_at_zero(), _lowest(det)
+    cells = [("alpha", (i, j, k), nums[i][j].get(k)) for i in range(n) for j in range(n) for k in range(n)]
+    cells += [("gamma", (r, c), gnums[r][c]) for r in range(n) for c in range(n)]
+    values = []
+    for name, idx, num in cells:
+        if num and num.order_at_zero() < order:
+            where = "".join(f"[{x + 1}]" for x in idx)
+            return Outcome(NOT_VERIFIED, "regularity", f"{name}{where} = {num / det} has a pole at t = 0")
+        values.append(_lowest(num) / low if num and num.order_at_zero() == order else C8_ZERO)
+    limit_alpha = [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    limit_gamma = [values[n ** 3 + r * n:n ** 3 + (r + 1) * n] for r in range(n)]
+    field = FIELD_LRAT if any(isinstance(x, LambdaRat) for x in values[:n ** 3]) else FIELD_C8
     try:
         limit = validate(StructureConstants(n, limit_alpha, limit_gamma, field))
     except Exception as exc:

@@ -73,6 +73,9 @@ class Cyclo8:
         a0, a1, a2, a3 = self.c
         return not (a0 or a1 or a2 or a3)
 
+    def __bool__(self) -> bool:
+        return self.c != (0, 0, 0, 0)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclo8):
             return self.d == other.d and self.c == other.c

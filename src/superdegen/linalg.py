@@ -15,6 +15,9 @@ entries as Gauss-Jordan elimination, which also clears above each pivot
 as it goes, with fewer operations: the back pass works on the nonzero
 entries right of each pivot only.
 
+Transport inverts by `adjugate` instead (cofactors: ring operations only,
+on ints, polynomials and field scalars); `Matrix.inverse` stays as API.
+
 Rank over Q(z)(l) is taken by evaluation, with a certificate.  Multiply
 each row by the lcm of its denominators; the rank does not change, and
 every entry becomes a polynomial in l of degree at most d.
@@ -197,21 +200,25 @@ def _cleared_row(row):
             for x in row]
 
 
+def integer_polys(polys):
+    """The integer image of the Q(z)[l] polynomials polys: (D, ints) with D
+    the lcm of their coefficient denominators and ints the int coefficient
+    lists of D * p; None if a coefficient has a z-part."""
+    den = 1
+    for p in polys:
+        for x in p:
+            _, a1, a2, a3 = x.c
+            if a1 or a2 or a3:
+                return None
+            den = lcm(den, x.d)
+    return den, [[x.c[0] * (den // x.d) for x in p] for p in polys]
+
+
 def _integer_rows(polys):
-    """Rows of Q(z)[l] polynomials, each times the lcm of its coefficient
-    denominators, as lists of int coefficients; None if any coefficient has
-    a z-part."""
-    out = []
-    for row in polys:
-        den = 1
-        for p in row:
-            for x in p:
-                _, a1, a2, a3 = x.c
-                if a1 or a2 or a3:
-                    return None
-                den = lcm(den, x.d)
-        out.append([[x.c[0] * (den // x.d) for x in p] for p in row])
-    return out
+    """Rows of Q(z)[l] polynomials, each on its own integer image; None if
+    any coefficient has a z-part."""
+    images = [integer_polys(row) for row in polys]
+    return None if None in images else [ints for _, ints in images]
 
 
 def _int_forward(m, cols):
@@ -312,6 +319,30 @@ def _rank_by_evaluation(rows, cols):
         r = max(r, len(forward([[peval(p, points, zero) for p in row] for row in residual], len(free))))
         points += 1
     return len(pivot_cols) + r
+
+
+def _minor(m, rows, cols, one):
+    """Determinant of m on rows x cols by cofactors down the first column (None or 0 if zero)."""
+    if len(rows) < 2:
+        return m[rows[0]][cols[0]] if rows else one
+    out = None
+    for k, r in enumerate(rows):
+        rest = rows[:k] + rows[k + 1:]
+        y = m[r][cols[0]] and (m[rest[0]][cols[1]] if len(rest) == 1 else _minor(m, rest, cols[1:], one))
+        if y:
+            y = m[r][cols[0]] * y
+            out = (-y if k % 2 else y) if out is None else out - y if k % 2 else out + y
+    return out
+
+
+def adjugate(m, zero=0, one=1):
+    """(adj m, det m) of the square matrix m, row lists of ints or field
+    scalars, by cofactors (ring operations only): entry (i, j) of adj m is
+    (-1)^(i+j) times the minor of m without row j and column i."""
+    idx = tuple(range(len(m)))
+    minors = [[_minor(m, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], one) or zero for j in idx] for i in idx]
+    return [[-x if (i + j) % 2 else x for j, x in enumerate(row)] for i, row in enumerate(minors)], \
+        _minor(m, idx, idx, one) or zero
 
 
 class Matrix:

@@ -199,6 +199,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den == ONE_POLY
 

@@ -22,14 +22,39 @@ depend on the shortcut.
 
 The tensor loops visit only the nonzero structure constants
 (`StructureConstants.terms`); transport and the sigma check share one
-contraction, `_along`.
+contraction, `_along`.  It and the equation loops run on field scalars and
+on Python ints alike: a scalar is zero exactly when it is false.
+
+Integer image.  A point over Q(z)(l) whose constants are polynomials in l
+with rational coefficients (the families, and what a g over Q makes of
+them) has one: with common denominators D of alpha and E of gamma,
+A = D * alpha and C = E * gamma are int coefficient lists of degree at most
+d (`linalg.integer_polys`).  Times D, D, D^2, E, D * E^2 and E^2, the
+equations of families 1..6 are int polynomials in l of degree at most 3d
+(family 5 reads E * A C = C C A), and a nonzero one has at most 3d roots.
+So `check_axioms` evaluates the image at l = 0, 1, ..., 3d, reports an
+index exactly when it is nonzero at one of these 3d + 1 points, and decides
+the unit shortcut over all of them first.  It reads the image from the
+point's own constants, so revalidation checks what transport produced.
+Other points, Q(z) points included, are checked over their field.
+
+Transport by the adjugate (`linalg.adjugate`): alpha is contracted with g,
+g and adj(g), gamma becomes adj(g) gamma g, and both are divided by det(g)
+once (`_moved`).  A point with an integer image moved by a g over Q runs on
+ints: with G = Dg * g, g^-1 = Dg * adj(G) / det(G), so each l-slice of A is
+contracted with G, G and adj(G) and divided by Dg * det(G) * D, and gamma
+is adj(G) C G / (det(G) * E).  Other points fold 1/det(g) into adj(g), and
+certificates read the numerators (`moved_numerators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import FIELD_C8, Matrix, Singular
+from .cyclo import _make
+from .linalg import FIELD_C8, FIELD_LRAT, Matrix, adjugate, integer_polys
+from .polys import ONE_POLY, peval
+from .scalars import LambdaRat
 
 
 class AxiomError(ValueError):
@@ -111,7 +136,7 @@ def _along(t, mat, axis, idx=None):
     idx = range(n) if idx is None else idx
     out = [[{} for _ in range(n)] for _ in range(n)]
     if axis == 2:
-        weights = [[(c, mat[c][p]) for c in range(n) if not mat[c][p].is_zero()] for p in range(n)]
+        weights = [[(c, mat[c][p]) for c in range(n) if mat[c][p]] for p in range(n)]
         for i in idx:
             for j in idx:
                 acc = out[i][j]
@@ -120,7 +145,7 @@ def _along(t, mat, axis, idx=None):
                         x = w * v
                         acc[c] = acc[c] + x if c in acc else x
     else:
-        weights = [[(c, mat[p][c]) for c in idx if not mat[p][c].is_zero()] for p in range(n)]
+        weights = [[(c, mat[p][c]) for c in idx if mat[p][c]] for p in range(n)]
         for p in range(n):
             for q in idx:
                 for c, w in weights[p]:
@@ -128,61 +153,85 @@ def _along(t, mat, axis, idx=None):
                         _add_scaled(out[c][q], w, t[p][q])
                     else:
                         _add_scaled(out[q][c], w, t[q][p])
-    return [[{k: v for k, v in acc.items() if not v.is_zero()} for acc in plane] for plane in out]
+    return [[{k: v for k, v in acc.items() if v} for acc in plane] for plane in out]
+
+
+def _image(sc):
+    """The integer image (module docstring) as (D, A, E, C, d), A[i][j][k]
+    and C[r][c] being int coefficient lists in l; None if there is none."""
+    if sc.field is not FIELD_LRAT:
+        return None
+    flat = [x for plane in sc.alpha for row in plane for x in row] + [x for row in sc.gamma for x in row]
+    if any(len(x.den) > 1 for x in flat):
+        return None
+    n, cut = sc.n, sc.n ** 3
+    a, c = integer_polys([x.num for x in flat[:cut]]), integer_polys([x.num for x in flat[cut:]])
+    if a is None or c is None:
+        return None
+    alpha = [[a[1][(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    return a[0], alpha, c[0], [c[1][r * n:(r + 1) * n] for r in range(n)], max(map(len, a[1] + c[1])) - 1
+
+
+def _points(sc):
+    """What the equation loops run on, as (terms, gamma, D, E, zero): the
+    integer image at l = 0, 1, ..., 3d, or the point's own constants."""
+    img = _image(sc)
+    if img is None:
+        return [(sc.terms, sc.gamma, sc.field.one, sc.field.one, sc.field.zero)]
+    den, alpha, eden, gamma, d = img
+    return [([[{k: v for k, p in enumerate(row) if (v := peval(p, x, 0))} for row in plane] for plane in alpha],
+             [[peval(p, x, 0) for p in row] for row in gamma], den, eden, 0) for x in range(3 * max(d, 0) + 1)]
 
 
 def check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
-    """Evaluate the defining equations; maps family number -> violated index tuples."""
-    n, gamma, terms = sc.n, sc.gamma, sc.terms
-    z = sc.field.zero
-    one = sc.field.one
-    report = {k: [] for k in ((1, 2, 3, 4, 5, 6) if unital else (3, 5, 6))}
-
-    def delta(a, b):
-        return one if a == b else z
-
-    if unital:
+    """Evaluate the defining equations, on the integer image if there is one;
+    maps family number -> violated index tuples, in lexicographic order."""
+    n = sc.n
+    points = _points(sc)
+    report = {k: set() for k in ((1, 2, 3, 4, 5, 6) if unital else (3, 5, 6))}
+    for terms, gamma, du, ge, z in points if unital else ():
         for i in range(n):
             for j in range(n):
-                if not (sc.alpha[0][i][j] == delta(i, j)):
-                    report[1].append((i + 1, j + 1))
-                if not (sc.alpha[i][0][j] == delta(i, j)):
-                    report[2].append((i + 1, j + 1))
+                one = du if i == j else z
+                if not (terms[0][i].get(j, z) == one):
+                    report[1].add((i + 1, j + 1))
+                if not (terms[i][0].get(j, z) == one):
+                    report[2].add((i + 1, j + 1))
         for j in range(n):
-            if not (gamma[j][0] == delta(j, 0)):
-                report[4].append((j + 1,))
+            if not (gamma[j][0] == (ge if j == 0 else z)):
+                report[4].add((j + 1,))
     # a unit fixed by sigma implies the equations of families 3 and 5 that
-    # involve it (module docstring)
+    # involve it (module docstring); decided over all points first
     idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
-    # associativity: (e_i e_j) e_k = e_i (e_j e_k), coefficient of e_m
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                res = {}
-                for l, a in terms[i][j].items():
-                    _add_scaled(res, a, terms[l][k])
-                for l, a in terms[j][k].items():
-                    _add_scaled(res, -a, terms[i][l])
-                report[3].extend((i + 1, j + 1, k + 1, m + 1) for m in sorted(res) if not res[m].is_zero())
-    # sigma multiplicative: sigma(e_i e_j) against sigma(e_i) sigma(e_j)
-    lhs = _along(terms, gamma, 2, idx)
-    rhs = _along(_along(terms, gamma, 0), gamma, 1, idx)
-    for i in idx:
-        for j in idx:
-            for m in range(n):
-                if not (lhs[i][j].get(m, z) - rhs[i][j].get(m, z)).is_zero():
-                    report[5].append((i + 1, j + 1, m + 1))
-    # sigma involutive
-    for i in range(n):
-        for k in range(n):
-            acc = -delta(i, k)
-            for j in range(n):
-                g = gamma[j][i]
-                if not g.is_zero():
-                    acc = acc + g * gamma[k][j]
-            if not acc.is_zero():
-                report[6].append((i + 1, k + 1))
-    return {k: tuple(v) for k, v in report.items()}
+    for terms, gamma, _, ge, z in points:
+        # associativity: (e_i e_j) e_k = e_i (e_j e_k), coefficient of e_m
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    res = {}
+                    for l, a in terms[i][j].items():
+                        _add_scaled(res, a, terms[l][k])
+                    for l, a in terms[j][k].items():
+                        _add_scaled(res, -a, terms[i][l])
+                    report[3].update((i + 1, j + 1, k + 1, m + 1) for m, v in res.items() if v)
+        # sigma multiplicative: sigma(e_i e_j) against sigma(e_i) sigma(e_j);
+        # the left side has one factor gamma = E * sigma fewer, so it is scaled by E
+        lhs = _along(terms, gamma if ge == 1 else [[ge * x for x in row] for row in gamma], 2, idx)
+        rhs = _along(_along(terms, gamma, 0), gamma, 1, idx)
+        for i in idx:
+            for j in idx:
+                report[5].update((i + 1, j + 1, m + 1) for m in range(n)
+                                 if lhs[i][j].get(m, z) - rhs[i][j].get(m, z))
+        # sigma involutive
+        for i in range(n):
+            for k in range(n):
+                acc = -(ge * ge) if i == k else z
+                for j in range(n):
+                    if gamma[j][i]:
+                        acc = acc + gamma[j][i] * gamma[k][j]
+                if acc:
+                    report[6].add((i + 1, k + 1))
+    return {k: tuple(sorted(v)) for k, v in report.items()}
 
 
 def axioms_ok(report: dict) -> bool:
@@ -247,22 +296,68 @@ def group_element(matrix: Matrix) -> Matrix:
     return matrix
 
 
+def _matmul(a, b, zero):
+    return [[sum((x * y for x, y in zip(row, col) if x and y), zero) for col in zip(*b)] for row in a]
+
+
+def _moved(terms, gamma, g, h, zero):
+    """The one transport rule: alpha contracted with g, g and h (terms
+    dicts), and the rows of h gamma g; h is adj(g), or adj(g) / det(g)."""
+    return _along(_along(_along(terms, g, 0), g, 1), h, 2), _matmul(_matmul(h, gamma, zero), g, zero)
+
+
+def moved_numerators(g: Matrix, sc: StructureConstants, field, divide=False):
+    """(N, M, det g) for sc moved by g over field, g unchecked: N[i][j] maps
+    k to the nonzero det(g) * alpha'[i][j][k], M holds det(g) * gamma'.
+    With divide, 1/det(g) is folded into adj(g): N and M are alpha', gamma'."""
+    lam = [[field.lift(x) for x in row] for row in g.to_lists()]
+    adj, det = adjugate(lam, field.zero, field.one)
+    if divide:
+        inv = 1 / det
+        adj = [[x * inv for x in row] for row in adj]
+    terms = [[{k: field.lift(a) for k, a in row.items()} for row in plane] for plane in sc.terms]
+    gamma = [[field.lift(x) for x in row] for row in sc.gamma]
+    return _moved(terms, gamma, lam, adj, field.zero) + (det,)
+
+
+def _transport_image(g, sc, field):
+    """`transport` of a point with an integer image by a g over Q, on ints
+    (module docstring): (alpha, gamma), or None for any other point or g."""
+    if field is not FIELD_LRAT:
+        return None
+    consts = [x.num if len(x.num) < 2 and len(x.den) == 1 else None for x in map(field.lift, g.entries)]
+    img = None if None in consts else _image(sc)
+    gi = img and integer_polys(consts)
+    if gi is None:
+        return None
+    n, (dg, flat), (den, alpha, eden, gamma, d) = sc.n, gi, img
+    gm = [[p[0] if p else 0 for p in flat[r * n:(r + 1) * n]] for r in range(n)]
+    adj, det = adjugate(gm)
+    slices = [_moved([[{k: p[e] for k, p in enumerate(row) if len(p) > e and p[e]} for row in plane] for plane in alpha],
+                     [[p[e] if len(p) > e else 0 for p in row] for row in gamma], gm, adj, 0) for e in range(d + 1)]
+
+    def scalar(coeffs, q):
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return LambdaRat._reduced(tuple(_make(c, 0, 0, 0, q) for c in coeffs), ONE_POLY) if coeffs else field.zero
+    return ([[[scalar([m[i][j].get(k, 0) for m, _ in slices], dg * det * den) for k in range(n)] for j in range(n)]
+             for i in range(n)],
+            [[scalar([c[r][col] for _, c in slices], det * eden) for col in range(n)] for r in range(n)])
+
+
 def transport(g: Matrix, sc: StructureConstants, field=None, revalidate=True) -> StructureConstants:
-    """Structure constants in the new basis whose vectors are the columns of g."""
+    """Structure constants in the new basis whose vectors are the columns of
+    g, by the adjugate (module docstring)."""
     field = field or sc.field
     group_element(g)
     n = sc.n
-    try:
-        nu = g.inverse()
-    except Singular as exc:  # pragma: no cover - group_element already checked
-        raise NotInGroup(str(exc)) from exc
-    lam = [[field.lift(g.at(r, c)) for c in range(n)] for r in range(n)]
-    inv = [[field.lift(x) for x in row] for row in nu.to_lists()]
-    terms = [[{k: field.lift(a) for k, a in row.items()} for row in plane] for plane in sc.terms]
-    moved = _along(_along(_along(terms, lam, 0), lam, 1), inv, 2)
-    alpha = [[[row.get(k, field.zero) for k in range(n)] for row in plane] for plane in moved]
-    gmat = nu * sc.gamma_matrix().map_entries(field.lift, field) * g
-    out = StructureConstants(n, alpha, gmat.to_lists(), field)
+    moved = _transport_image(g, sc, field)
+    if moved is not None:
+        alpha, gamma = moved
+    else:
+        moved, gamma, _ = moved_numerators(g, sc, field, divide=True)
+        alpha = [[[row.get(k, field.zero) for k in range(n)] for row in plane] for plane in moved]
+    out = StructureConstants(n, alpha, gamma, field)
     if revalidate:
         validate(out)
     return out

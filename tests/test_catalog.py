@@ -184,3 +184,86 @@ def test_entry_invariants_are_computed_once(monkeypatch):
         assert e.orbit_dim == orbit_dim(e.sc) == e.expected_orbit_dim
         assert e.stab_dim == e.n * e.n - e.n - e.orbit_dim
     assert len(calls) == len(fresh)
+
+
+def test_one_grading_split_per_distinct_gamma(monkeypatch):
+    import superdegen.catalog as catalog_module
+    from superdegen.structure import grading_split
+    calls = []
+    monkeypatch.setattr(catalog_module, "grading_split", lambda sc: calls.append(sc) or grading_split(sc))
+    fresh = load_catalog()
+    recs = {r["label"]: r for r in _records()}
+    keys = {(r["parametric"], tuple(r["gamma"])) for r in recs.values()}
+    assert len(calls) == len(keys) == 6
+    by_key = {}
+    for e in fresh.entries.values():
+        rec = recs[e.label]
+        # entries that share a gamma share its split object, and each split
+        # is the one the entry's own gamma gives
+        assert by_key.setdefault((rec["parametric"], tuple(rec["gamma"])), e.split) is e.split
+        assert e.split == grading_split(e.sc)
+
+
+def test_bad_gamma_shared_by_entries_fails_at_the_first_of_them(tmp_path):
+    recs = _records()
+    first = next(r for r in recs if r["label"] == "(7|2)")
+    gamma = list(first["gamma"])
+    same = [r for r in recs if r["gamma"] == gamma and not r["parametric"]]
+    assert len(same) >= 2
+    for r in same:
+        r["gamma"] = list(r["gamma"])
+        r["gamma"][5] = "-1"
+    with pytest.raises(ValidationError) as info:
+        load_catalog(_write_catalog(tmp_path, recs))
+    assert str(info.value).startswith(same[0]["label"] + ": ")
+    # a gamma with the wrong declared component, shared by two entries: the
+    # second entry's declaration is checked against the shared split
+    recs = _records()
+    same = [r for r in recs if r["gamma"] == gamma and not r["parametric"]]
+    same[1]["component"] = 3
+    with pytest.raises(ValidationError, match=r"declared component 3 but the involution splits 2\+2") as info:
+        load_catalog(_write_catalog(tmp_path, recs))
+    assert str(info.value).startswith(same[1]["label"] + ": ")
+
+
+def _malformed(label, key, value):
+    def mutate(recs):
+        rec = next(r for r in recs if r["label"] == label)
+        rec[key] = value(rec[key]) if callable(value) else value
+        return recs
+    return mutate
+
+
+def _ubc_entry(index, literal):
+    return _malformed("(1|1)", "u_base_change", lambda lits: lits[:index] + [literal] + lits[index + 1:])
+
+
+# (mutation, error class, message): shape errors parse as CatalogParseError,
+# a base change outside the group fails validation; each names the entry
+_MALFORMED = [
+    (_malformed("(2|0)", "n", "4"), CatalogParseError, "(2|0): n must be an integer, got '4'"),
+    (_malformed("(2|0)", "n", 4.0), CatalogParseError, "(2|0): n must be an integer, got 4.0"),
+    (_malformed("(2|0)", "alpha", "0" * 64), CatalogParseError, "(2|0): alpha must be a list of literals"),
+    (_malformed("(2|0)", "gamma", {"a": 1}), CatalogParseError, "(2|0): gamma must be a list of literals"),
+    (_malformed("(2|0)", "alpha", lambda lits: [["0"]] + lits[1:]), CatalogParseError,
+     "(2|0).alpha[0]: scalar literal must be a string, got list"),
+    (_malformed("(1|1)", "u_base_change", "1" * 16), CatalogParseError, "(1|1): u_base_change must hold 16 literals"),
+    (_ubc_entry(4, "1"), ValidationError, "(1|1): u_base_change: first column must be the unit vector e_1"),
+    (_malformed("(1|1)", "u_base_change", ["1", "0", "0", "0", "0", "1", "1", "0", "0", "1", "1", "0",
+                                           "0", "0", "0", "1"]),
+     ValidationError, "(1|1): u_base_change: matrix is singular"),
+]
+
+
+@pytest.mark.parametrize("mutate, kind, message", _MALFORMED)
+def test_malformed_records_are_typed_errors_naming_the_entry(tmp_path, capsys, mutate, kind, message):
+    from superdegen.cli import main
+    path = _write_catalog(tmp_path, mutate(_records()))
+    with pytest.raises(kind) as info:
+        load_catalog(path)
+    assert str(info.value) == message
+    assert main(["--catalog", path, "tables", "--kind", "stab"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["--catalog", path, "verify-catalog"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split() == ["FAIL", "load", *message.split()]

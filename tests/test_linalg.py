@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdegen import linalg
-from superdegen.certs import load_cert_file
-from superdegen.cyclo import ZETA, Cyclo8
+from superdegen.certs import _lift_matrix_to_trat, load_cert_file
+from superdegen.cyclo import C8_ONE, C8_ZERO, ZETA, Cyclo8
 from superdegen.invariants import derivation_system
-from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular, _forward
+from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular, _forward, adjugate
 from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.structure import random_group_element, transport
 from superdegen.tpoly import T_VAR
@@ -369,6 +369,49 @@ def test_determinant_matches_leibniz_on_random_matrices():
                  for _ in range(n)] for _ in range(n)]
         m = M(rows)
         assert m.determinant() == _leibniz_determinant(m)
+
+
+# --- the adjugate, by cofactors: the inverse rule of transport ---
+
+def _assert_adjugate(m):
+    """adj(m) m = m adj(m) = det(m) I, with det(m) as Leibniz gives it."""
+    adj, det = adjugate(m.to_lists(), m.field.zero, m.field.one)
+    assert det == _leibniz_determinant(m) == m.determinant()
+    a = Matrix.from_rows(adj, m.field)
+    scaled = Matrix.from_rows([[det if r == c else 0 for c in range(m.rows)] for r in range(m.rows)], m.field)
+    assert a * m == scaled == m * a
+    return a, det
+
+
+def test_adjugate_of_certificate_curves(catalog):
+    # the 43 shipped curves, and the composed curves of those with a pre-change
+    certs = [c for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    assert len(certs) == 43
+    for cert in certs:
+        _assert_adjugate(cert.curve)
+        if cert.pre_change is not None:
+            _assert_adjugate(_lift_matrix_to_trat(cert.pre_change, cert.lambda_sub) * cert.curve)
+
+
+def test_adjugate_on_random_matrices():
+    # dense and sparse Q(z) matrices of size 1..4, singular ones included;
+    # adj / det is the reference inverse, and ints give the same adjugate
+    rng = random.Random(12)
+    singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        m = M(_degenerate_rows(rng, n, n)[:n]) if rng.random() < 0.3 else M(
+            [[_q_entry(rng) for _ in range(n)] for _ in range(n)])
+        a, det = _assert_adjugate(m)
+        if det:
+            assert _same(a.map_entries(lambda x: x / det).entries, _reference_inverse(m).entries)
+        else:
+            singular += 1
+        ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        adj, det = adjugate(ints)
+        assert (adj, det) == tuple(adjugate(M(ints).to_lists(), C8_ZERO, C8_ONE))
+        assert all(type(x) is int for row in adj for x in row) and type(det) is int
+    assert singular >= 10
 
 
 # --- the one elimination kernel against the former Gauss-Jordan _echelon ---

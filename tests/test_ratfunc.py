@@ -514,6 +514,28 @@ def test_shared_body_matches_the_reference_bodies(tree):
             assert got_0[0] == _lift_ref(want_0[0]) and str(got_0[0]) == str(want_0[0])
 
 
+# ------------------------------------------------------------ truth
+
+def test_zero_is_false_and_nonzero_is_true_for_every_scalar_type():
+    zeros = [C8_ZERO, Cyclo8(0, 0, 0, 0), ZETA - ZETA, LambdaRat.coerce(0), LAMBDA - LAMBDA,
+             TRat.coerce(0), T_VAR - T_VAR, TRat.coerce(LambdaRat.coerce(0)), (LAMBDA - LAMBDA) * T_VAR]
+    nonzeros = [C8_ONE, ZETA, Cyclo8(-1) / 3, ZETA - ZETA ** 3, LAMBDA, LambdaRat.coerce(2), 1 / (1 - LAMBDA),
+                T_VAR, TRat.coerce(LAMBDA), TRat.coerce(Cyclo8(1) / 2), 1 / T_VAR, LAMBDA * T_VAR - T_VAR]
+    for x in zeros:
+        assert bool(x) is False and x.is_zero() and not x
+    for x in nonzeros:
+        assert bool(x) is True and not x.is_zero() and (x or None) is x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_trees)
+def test_truth_agrees_with_is_zero(tree):
+    x = _outcome(_evaluate, tree, _NEW)[0]
+    if not isinstance(x, (int, Cyclo8, LambdaRat, TRat)):
+        return  # the tree raised
+    assert bool(x) is (not (x == 0 if isinstance(x, int) else x.is_zero()))
+
+
 # ------------------------------------------------------------ pmul
 
 def _reference_pmul(a, b, zero):

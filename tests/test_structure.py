@@ -1,16 +1,24 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdegen.certs import _lift_matrix_to_trat, _sc_over_trat, load_cert_file
-from superdegen.cyclo import Cyclo8
+from superdegen import structure
+from superdegen.catalog import FORBIDDEN_LAMBDA
+from superdegen.certs import (NOT_VERIFIED, VERIFIED, Outcome, SpecializationCert, _lift_matrix_to_trat, _lowest,
+                              _sc_over_trat, load_cert_file, scaling_cert, verify_cert)
+from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular
+from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.structure import (AxiomError, NotInGroup, StructureConstants, axioms_ok,
                                   check_axioms, cn_structure, forget_grading, grading_split,
-                                  group_element, random_group_element, transport, transport_algebra,
-                                  validate, with_trivial_grading)
+                                  group_element, moved_numerators, random_group_element, transport,
+                                  transport_algebra, validate, with_trivial_grading)
+from superdegen.tpoly import ORDER_INF, T_VAR, TRat
 
 
 def test_field_itself_passes():
@@ -368,3 +376,297 @@ def test_multiply_matches_the_dense_formula(catalog):
             dense = [sum((sc.alpha[i][j][k] * (x[i] * y[j]) for i in range(4) for j in range(4)),
                          sc.field.zero) for k in range(4)]
             assert list(sc.multiply(x, y)) == dense
+
+
+# --------------------- the integer image, the adjugate, and their references
+
+L = LAMBDA
+
+
+@contextmanager
+def _paths():
+    """Counts the transports taken on the integer image ("image") and over
+    the field ("field"), and the equation checks run on the image ("ints")
+    and over the field ("scalars")."""
+    ran = Counter()
+    real_transport, real_points = structure._transport_image, structure._points
+
+    def transport_spy(g, sc, field):
+        out = real_transport(g, sc, field)
+        ran["field" if out is None else "image"] += 1
+        return out
+
+    def points_spy(sc):
+        out = real_points(sc)
+        ran["ints" if type(out[0][-1]) is int else "scalars"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_transport_image", transport_spy)
+        mp.setattr(structure, "_points", points_spy)
+        yield ran
+
+
+def _assert_same_point(moved, expected):
+    """Equal, with every constant of the same type and printed alike."""
+    assert moved == expected
+    pairs = [(a, b) for p, q in zip(moved.alpha, expected.alpha) for r, s in zip(p, q) for a, b in zip(r, s)]
+    pairs += [(a, b) for r, s in zip(moved.gamma, expected.gamma) for a, b in zip(r, s)]
+    assert all(type(a) is type(b) and str(a) == str(b) for a, b in pairs)
+
+
+def _rational_group_element(rng, field):
+    """A random group element with entries in Q, denominators up to 3."""
+    while True:
+        rows = [[Fraction(int(r == 0)) if c == 0 else Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                 for c in range(4)] for r in range(4)]
+        m = Matrix.from_rows([[field.lift(Cyclo8(x)) for x in row] for row in rows], field)
+        if not m.determinant().is_zero():
+            return m
+
+
+def _unipotent(steps, field=FIELD_LRAT):
+    """The product of the elementary matrices I + x * E_rc, (r, c, x) in
+    steps, with c >= 1 and r != c: determinant 1, first column e_1."""
+    g = Matrix.identity(4, field)
+    for r, c, x in steps:
+        g = g * Matrix.from_rows([[1 if a == b else x if (a, b) == (r, c) else 0 for b in range(4)]
+                                  for a in range(4)], field)
+    return g
+
+
+def test_every_entry_moves_on_its_path_as_the_reference(catalog):
+    # every entry moved by an integral and a rational g: the three families on
+    # the integer image, Q(z) points over Q(z); each family point is then
+    # checked on ints, each Q(z) point over its field
+    rng = random.Random(1201)
+    with _paths() as ran:
+        for label in catalog.labels():
+            sc = catalog.entry(label).sc
+            for g in (random_group_element(rng, 4, sc.field), _rational_group_element(rng, sc.field)):
+                moved = transport(g, sc, revalidate=False)
+                _assert_same_point(moved, _reference_transport(g, sc))
+                _assert_reports_agree(moved)
+                assert transport_algebra(g, sc.alpha, sc.field) == moved.alpha
+    assert ran == {"image": 12, "field": 232, "ints": 12, "scalars": 232}
+
+
+def test_fuzz_points_move_and_validate_as_the_reference(catalog):
+    # the points a fuzz pass makes: an integer g over the entry's field,
+    # transport with revalidation, then the bare algebra moved by the same g
+    rng = random.Random(1202)
+    with _paths() as ran:
+        for label in ("(18;l|0)", "(18;l|1)", "(18;l|2)", "(16|1)", "(10|1)", "(13|1)"):
+            sc = catalog.entry(label).sc
+            for _ in range(4):
+                g = random_group_element(rng, 4, sc.field)
+                moved = transport(g, sc)
+                assert moved.validated
+                _assert_same_point(moved, _reference_transport(g, sc))
+                assert forget_grading(moved) == transport_algebra(g, sc.alpha, sc.field)
+    assert ran == {"image": 24, "field": 24, "ints": 12, "scalars": 12}
+
+
+def test_z_parts_and_l_dependent_changes_keep_the_field(catalog):
+    sc = catalog.get("(18;l|1)")
+    with _paths() as ran:
+        # a z-part in g: the family point moves over Q(z)(l); the moved point
+        # has z-parts, so it is checked, and moved again, over its field
+        g = _unipotent([(1, 2, ZETA), (0, 3, 1)])
+        moved = transport(g, sc)
+        _assert_same_point(moved, _reference_transport(g, sc))
+        again = transport(random_group_element(random.Random(3), 4, FIELD_LRAT), moved, revalidate=False)
+        _assert_same_point(again, _reference_transport(random_group_element(random.Random(3), 4, FIELD_LRAT), moved))
+        _assert_reports_agree(again)
+        assert ran == {"field": 2, "scalars": 3}
+        # an l-dependent g moves over the field, and the point it makes lies
+        # in Q[l] (degree 3 here), so it is checked and moved on its image
+        g = _unipotent([(1, 3, L), (2, 1, -L), (3, 2, 2 * L - 1)])
+        moved = transport(g, sc)
+        _assert_same_point(moved, _reference_transport(g, sc))
+        assert max(len(x.num) for plane in moved.alpha for row in plane for x in row) >= 4
+        h = _rational_group_element(random.Random(4), FIELD_LRAT)
+        _assert_same_point(transport(h, moved), _reference_transport(h, moved))
+        assert ran == {"field": 3, "image": 1, "scalars": 3, "ints": 2}
+        # a denominator in l: over the field
+        g = _unipotent([(1, 2, 1 / (1 - L)), (0, 3, L)])
+        moved = transport(g, sc, revalidate=False)
+        _assert_same_point(moved, _reference_transport(g, sc))
+        _assert_reports_agree(moved)
+        assert ran == {"field": 4, "image": 1, "scalars": 5, "ints": 2}
+        # a Q(z) point moved by a g with a z-part
+        fixed = catalog.get("(10|1)")
+        g = Matrix.from_rows([[1, 0, 0, 0], [0, 1, ZETA, 0], [0, 0, 1, 0], [0, 1, 0, 1]], FIELD_C8)
+        _assert_same_point(transport(g, fixed), _reference_transport(g, fixed))
+        assert ran == {"field": 5, "image": 1, "scalars": 6, "ints": 2}
+
+
+def _falling(d, c=1):
+    """c * l (l - 1) ... (l - 3d + 1): zero at the first 3d evaluation points."""
+    out = LambdaRat.coerce(c)
+    for i in range(3 * d):
+        out = out * (L - i)
+    return out
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_shift_vanishing_at_the_first_points_matches_reference(catalog, place):
+    # family points (d = 1), moved or not, with one constant shifted by
+    # c l (l - 1) (l - 2) at each kind of place
+    rng = random.Random(sorted(_PLACES).index(place))
+    with _paths() as ran:
+        for label in ("(18;l|0)", "(18;l|1)", "(18;l|2)"):
+            sc = catalog.entry(label).sc
+            for point in (sc, transport(random_group_element(rng, 4, FIELD_LRAT), sc)):
+                which, index = _PLACES[place](rng.randint)
+                _assert_reports_agree(_perturbed(point, which, index, _falling(1, rng.choice((1, -2, Cyclo8(1) / 3)))))
+    assert ran["ints"] == 3 + 12
+
+
+def test_violation_of_degree_3d_seen_only_at_the_last_point():
+    # e_2 e_2 = (l - 2) e_2 and sigma(e_2) = l e_2, the rest as in C_4: the
+    # unit holds, d = 1, and family 5 at (2, 2, 2) reads (l - 2) l - l^2 (l - 2),
+    # which vanishes at l = 0, 1, 2 and not at l = 3
+    one, zero = LambdaRat.coerce(1), LambdaRat.coerce(0)
+    alpha = [[[one if 0 in (i, j) and k == i + j else zero for k in range(4)] for j in range(4)] for i in range(4)]
+    alpha[1][1][1] = L - 2
+    gamma = [[(L if r == 1 else one) if r == c else zero for c in range(4)] for r in range(4)]
+    point = StructureConstants(4, alpha, gamma, FIELD_LRAT)
+    with _paths() as ran:
+        report = check_axioms(point)
+    assert ran == {"ints": 1}
+    assert report[5] == ((2, 2, 2),) and report[6] == ((2, 2),)
+    assert report == _reference_check_axioms(point)
+
+
+@pytest.mark.parametrize("which, index", [("alpha", (0, 1, 1)), ("alpha", (3, 0, 3)), ("gamma", (2, 0))])
+def test_unit_break_vanishing_at_zero_is_decided_over_all_points(catalog, which, index):
+    # the unit holds at l = 0 only; the triples and pairs on e_1 are then
+    # checked at every point, as over Q(z)(l)
+    bad = _perturbed(catalog.get("(18;l|2)"), which, index, L)
+    report = check_axioms(bad)
+    assert report == _reference_check_axioms(bad)
+    assert any(1 in t[:-1] for t in report[3] + report[5])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seeded_family_points_match_reference(catalog, data):
+    # a family point moved by an l-dependent unipotent g and then by a
+    # random g over Q, with a shift in Q[l] or outside it
+    sc = catalog.entry(data.draw(st.sampled_from(["(18;l|0)", "(18;l|1)", "(18;l|2)"]))).sc
+    steps = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3),
+                                         st.sampled_from([L, -L, 2 * L, L / 2, 3 - L, Cyclo8(1)])),
+                               min_size=1, max_size=3))
+    g = _unipotent([(0 if r == c else r, c, x) for r, c, x in steps])
+    point = transport(g, sc, revalidate=False)
+    delta = data.draw(st.sampled_from([None, L ** 2 - 2, _falling(1), _falling(2, -1), ZETA * L, 1 / (1 - L)]))
+    if delta is not None:
+        which, index = _PLACES[data.draw(st.sampled_from(sorted(_PLACES)))](
+            lambda lo, hi: data.draw(st.integers(lo, hi)))
+        point = _perturbed(point, which, index, delta)
+    _assert_reports_agree(point)
+    h = random_group_element(random.Random(data.draw(st.integers(0, 99))), 4, FIELD_LRAT)
+    moved = transport(h, point, revalidate=False)
+    _assert_same_point(moved, _reference_transport(h, point))
+    _assert_reports_agree(moved)
+
+
+# ------------------------------------- certificates read through numerators
+
+def _reference_verify_specialization(cert, catalog):
+    """`verify_specialization` as it was: the inverse-based transport over
+    Q(z)(l)(t), each constant reduced, then its valuation and value at 0."""
+    src, tgt = catalog.get(cert.source), catalog.get(cert.target)
+    n, lam = src.n, cert.lambda_sub
+    if lam is not None and lam.is_constant() and any(lam.constant_value() == bad for bad in FORBIDDEN_LAMBDA):
+        return Outcome(NOT_VERIFIED, "substitution", "the substituted parameter is identically an excluded value")
+    if list(cert.curve.column(0)) != [FIELD_TRAT.one] + [FIELD_TRAT.zero] * (n - 1):
+        return Outcome(NOT_VERIFIED, "curve", "curve must fix the unit (first column e_1)")
+    if cert.curve.determinant().is_zero():
+        return Outcome(NOT_VERIFIED, "curve-not-generic", "det of the basis curve vanishes identically")
+    composed = cert.curve
+    if cert.pre_change is not None:
+        composed = _lift_matrix_to_trat(cert.pre_change, lam) * cert.curve
+    if composed.determinant().is_zero():
+        return Outcome(NOT_VERIFIED, "curve-not-generic", "composed curve is singular for all t")
+    moved = _reference_transport(composed, _sc_over_trat(src, lam), field=FIELD_TRAT)
+    blocks = [(f"alpha[{i + 1}][{j + 1}][{k + 1}]", moved.alpha[i][j][k])
+              for i in range(n) for j in range(n) for k in range(n)]
+    blocks += [(f"gamma[{r + 1}][{c + 1}]", moved.gamma[r][c]) for r in range(n) for c in range(n)]
+    for where, e in blocks:
+        if e.order_at_zero() < 0:
+            return Outcome(NOT_VERIFIED, "regularity", f"{where} = {e} has a pole at t = 0")
+    values = [e.eval_at_zero() for _, e in blocks]
+    limit_alpha = [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    limit_gamma = [values[n ** 3 + r * n:n ** 3 + (r + 1) * n] for r in range(n)]
+    field = FIELD_LRAT if any(isinstance(x, LambdaRat) for x in values[:n ** 3]) else FIELD_C8
+    try:
+        limit = validate(StructureConstants(n, limit_alpha, limit_gamma, field))
+    except Exception as exc:
+        return Outcome(NOT_VERIFIED, "limit", f"limit point violates the defining equations: {exc}")
+    expected = tgt if cert.post_change is None else transport(cert.post_change, tgt)
+    if limit == expected:
+        return Outcome(VERIFIED)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not (limit.alpha[i][j][k] == expected.alpha[i][j][k]):
+                    return Outcome(NOT_VERIFIED, "limit-mismatch",
+                                   f"alpha[{i + 1}][{j + 1}][{k + 1}]: limit {limit.alpha[i][j][k]} "
+                                   f"vs target {expected.alpha[i][j][k]}")
+    return Outcome(NOT_VERIFIED, "limit-mismatch", "involution constants differ at t = 0")
+
+
+def _specialization_certs(catalog):
+    certs = [c for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    return certs + [scaling_cert(label, catalog) for label in catalog.labels()]
+
+
+def test_numerators_give_the_reference_valuations_and_limits(catalog):
+    # every transported constant of the 104 specialization, family-limit and
+    # scaling certificates: N / det g is the reference constant, ord N - ord
+    # det g its valuation at 0, and the limit the same value, type and print
+    certs = _specialization_certs(catalog)
+    assert len(certs) == 104
+    for cert in certs:
+        curve = cert.curve
+        if cert.pre_change is not None:
+            curve = _lift_matrix_to_trat(cert.pre_change, cert.lambda_sub) * curve
+        src_t = _sc_over_trat(catalog.entry(cert.source).sc, cert.lambda_sub)
+        ref = _reference_transport(curve, src_t, field=FIELD_TRAT)
+        nums, gnums, det = moved_numerators(curve, src_t, FIELD_TRAT)
+        order, low = det.order_at_zero(), _lowest(det)
+        pairs = [(nums[i][j].get(k, TRat.coerce(0)), ref.alpha[i][j][k])
+                 for i in range(4) for j in range(4) for k in range(4)]
+        pairs += [(gnums[r][c], ref.gamma[r][c]) for r in range(4) for c in range(4)]
+        for num, e in pairs:
+            assert num / det == e
+            assert (ORDER_INF if not num else num.order_at_zero() - order) == e.order_at_zero()
+            if e.order_at_zero() >= 0:
+                value, expected = (_lowest(num) / low if num and num.order_at_zero() == order else Cyclo8(0),
+                                   e.eval_at_zero())
+                assert (value, type(value), str(value)) == (expected, type(expected), str(expected))
+
+
+def _bent(cert, powers):
+    """The certificate with its curve times diag(1, t^a, t^b, t^c)."""
+    diag = Matrix.from_rows([[T_VAR ** powers[r - 1] if r == c and r else int(r == c) for c in range(4)]
+                             for r in range(4)], FIELD_TRAT)
+    return SpecializationCert(cert.source, cert.target, cert.pre_change, cert.curve * diag, cert.post_change,
+                              cert.lambda_sub, cert.name)
+
+
+def test_outcomes_and_detail_strings_match_reference(catalog):
+    # the 104 certificates verify; bending their curves gives poles, limits
+    # off the target and singular curves, each reported as the reference does
+    stages = Counter()
+    rng = random.Random(1203)
+    for cert in _specialization_certs(catalog):
+        assert verify_cert(cert, catalog) == _reference_verify_specialization(cert, catalog) == Outcome(VERIFIED)
+        for powers in ([0, 0, 1], [1, 0, 0], [rng.randint(0, 2) for _ in range(3)]):
+            bent = _bent(cert, powers)
+            outcome = verify_cert(bent, catalog)
+            assert str(outcome) == str(_reference_verify_specialization(bent, catalog))
+            stages[outcome.stage] += 1
+    assert stages["regularity"] >= 30 and stages["limit-mismatch"] >= 80, stages
