@@ -1,58 +1,52 @@
 """Exact dense linear algebra over any of the package's scalar fields.
 
-Elimination pivots on the first nonzero entry in column order; with exact
-arithmetic there is nothing to gain from pivot selection, and a fixed rule
-makes every kernel basis and inverse reproducible across runs.
+Three algorithms, one job each:
 
-One elimination kernel runs here.  `_forward` clears below each pivot only
-and leaves pivot rows as they are, enough for the rank (the number of
-pivots) and the determinant (their signed product).  A kernel basis, a
-solution and an inverse are read from the reduced row echelon form, which
-`_reduced` gets from `_forward` by a back pass over the pivot rows in
-reverse order: each pivot row is normalised and its column cleared above
-it.  The reduced form of a matrix is unique, so this gives the same
-entries as Gauss-Jordan elimination, which also clears above each pivot
-as it goes, with fewer operations: the back pass works on the nonzero
-entries right of each pivot only.
+- integer elimination (`_int_forward`, `_int_rank`) takes every rank;
+- `_reduced` gives kernel bases, solutions and the inverse;
+- cofactors (`_minor`) give the determinant and the adjugate, with ring
+  operations only, on ints, polynomials and field scalars.  They cost n!
+  products, and every square matrix here has n <= 4.
 
-Transport inverts by `adjugate` instead (cofactors: ring operations only,
-on ints, polynomials and field scalars); `Matrix.inverse` stays as API.
+Elimination pivots on the first nonzero entry in column order: with exact
+arithmetic nothing is gained by choosing pivots, and a fixed rule makes
+every kernel basis reproducible.  `_reduced` runs `_forward`, which clears
+below each pivot only, then a back pass over the pivot rows in reverse
+order: each is normalised and its column cleared above it.  The reduced
+form is unique, so this gives the entries Gauss-Jordan elimination gives,
+with fewer operations.  `Matrix.inverse` has no caller in the package
+(transport inverts by `adjugate`); it stays only because the benchmark's
+tracer (`perfbench/layers.py`) wraps it by name.
 
-Rank over Q(z)(l) is taken by evaluation, with a certificate.  Multiply
-each row by the lcm of its denominators; the rank does not change, and
-every entry becomes a polynomial in l of degree at most d.
+Rank is taken on the integer image.  Multiplying a row by a nonzero scalar
+keeps the rank.  A row over Q(z)(l) is multiplied by the lcm of its
+denominators, so every entry becomes a polynomial in l of degree at most d
+(a Q(z) matrix is the case d = 0), and the matrix by the lcm of all
+coefficient denominators.  With no z-part, every entry is then an int
+polynomial; duplicate and zero rows are dropped, and elimination runs
+without fractions: a row below a pivot p with entry a in the pivot column
+becomes p*row - a*prow, divided by the gcd of its coefficients.
 
-Rows that are constant in l are eliminated once, over Q(z): let r_c be
-their rank.  Each remaining (moving) row is reduced by the constant pivot
-rows, in pivot order, by adding a multiple of a pivot row to it.  Adding a
-Q(z)(l)-multiple of one row to another keeps the rank, and because the
-pivot rows are constant the reduced entries stay polynomials of degree at
-most d.  Put the pivot columns first: the constant pivot rows are then
-upper triangular with a nonzero diagonal on those columns, and the reduced
-moving rows are zero there.  The matrix is block triangular, so its rank is
-r_c + r', where r' is the rank of the residual: the reduced moving rows
-restricted to the columns without a constant pivot.
+A coefficient with a z-part takes the regular representation: each entry
+is written on 1, z, z^2, z^3, and each row becomes the four rows z^e * row
+(e = 0..3), so an r x c matrix over Q(z)(l) becomes a 4r x 4c matrix over
+Q(l).  Its row space is the row space over Q(z)(l) read as a Q(l)-space,
+and Q(z)(l) has degree 4 over Q(l), so its rank is 4 times the rank over
+Q(z)(l).  Multiplying by z maps (a0, a1, a2, a3) to (-a3, a0, a1, a2).
 
-The residual's rank is certified by evaluation.  Let d be the largest
-degree of its entries.  At any l = l0 the rank of the evaluated residual is
-a lower bound on its rank over Q(z)(l), because a minor that is nonzero at
-l0 is nonzero as a polynomial.  Let r' be the largest rank seen so far.
-Every (r'+1)-minor is a polynomial of degree at most (r'+1)*d; if it
-vanishes at (r'+1)*d + 1 distinct points it is the zero polynomial.  So
-once that many points have been evaluated, all giving rank at most r', the
-residual's rank over Q(z)(l) is exactly r'.  The points are l = 0, 1, 2,
-... in turn; evaluation stops early once r' = min(rows, cols) of the
-residual.
-
-When no coefficient of the cleared rows has a z-part, all of this runs on
-their integer image, on Python ints: each row is multiplied by the lcm of
-its coefficient denominators, and elimination goes without fractions.  A
-row below a pivot p with entry a in the pivot column becomes p*row - a*prow,
-divided by the gcd of its coefficients.  Each row is then a nonzero
-constant multiple of the row the elimination over Q(z) leaves, so the pivot
-columns, the residual's zero pattern, its degree d, the stop rule and the
-rank at every point are the same.  A coefficient with a z-part keeps the
-elimination over Q(z).
+Over Q(l) the rank is certified by evaluation.  Rows constant in l are
+eliminated once: let r_c be their rank.  Each other (moving) row is reduced
+by the constant pivot rows; the pivot rows are constant, so the reduced
+entries stay polynomials of degree at most d.  With the pivot columns put
+first the matrix is block triangular, so its rank is r_c + r', where r' is
+the rank of the residual: the reduced moving rows on the columns without a
+constant pivot.  At any l = l0 the rank of the evaluated residual is a
+lower bound on r', since a minor nonzero at l0 is a nonzero polynomial.
+Let r' be the largest rank seen so far.  Every (r'+1)-minor has degree at
+most (r'+1)*d, so once it vanishes at (r'+1)*d + 1 distinct points it is
+zero.  The points are l = 0, 1, 2, ... in turn; evaluation stops when that
+many have given rank at most r', or once r' = min(rows, cols) of the
+residual.  On the regular representation r' is counted on its residual.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
-from .polys import ONE_POLY, padd, pdivmod, peval, pgcd, pmul, pscale
+from .polys import ONE_POLY, pdivmod, peval, pgcd, pmul
 from .scalars import LRAT_ONE, LRAT_ZERO, LambdaRat
 from .tpoly import TRAT_ONE, TRAT_ZERO, TRat
 
@@ -83,10 +77,7 @@ class Field:
     __slots__ = ("name", "zero", "one", "lift")
 
     def __init__(self, name, zero, one, lift):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.lift = lift
+        self.name, self.zero, self.one, self.lift = name, zero, one, lift
 
     def __repr__(self):
         return f"Field({self.name})"
@@ -97,46 +88,23 @@ FIELD_LRAT = Field("Q(z)(l)", LRAT_ZERO, LRAT_ONE, LambdaRat.coerce)
 FIELD_TRAT = Field("Q(z)(l)(t)", TRAT_ZERO, TRAT_ONE, TRat.coerce)
 
 
-def _distinct_nonzero_rows(rows):
-    """The rows that are nonzero, each kept once, in their first order.
-
-    A row is compared only with the rows kept before it that share its
-    leading column, so entry types need no hash."""
-    seen, out = {}, []
-    for row in rows:
-        lead = next((c for c, e in enumerate(row) if not e.is_zero()), None)
-        if lead is None:
-            continue
-        bucket = seen.setdefault(lead, [])
-        if any(row == other for other in bucket):
-            continue
-        bucket.append(row)
-        out.append(row)
-    return out
-
-
-def _forward(m, cols, invs=None):
+def _forward(m, cols, invs):
     """Forward elimination in place on the list of row lists m.
 
     Each pivot clears its column below itself only, and pivot rows are not
     normalised.  Entries left of the pivot in rows below it are not updated:
     no later step reads them, so a pivot row may hold stale nonzero entries
     left of its pivot.  Returns the pivot columns in order (the pivot of row
-    i is m[i][pivot_cols[i]]) and the number of row swaps.  When invs is a
-    list, the inverse of each pivot is appended to it, in pivot order."""
-    pivot_cols, swaps = [], 0
-    pr = 0
+    i is m[i][pivot_cols[i]]); appends each pivot's inverse to invs."""
+    pivot_cols, pr = [], 0
     for pc in range(cols):
         pivot = next((r for r in range(pr, len(m)) if not m[r][pc].is_zero()), None)
         if pivot is None:
             continue
-        if pivot != pr:
-            m[pr], m[pivot] = m[pivot], m[pr]
-            swaps += 1
+        m[pr], m[pivot] = m[pivot], m[pr]
         prow = m[pr]
         inv = prow[pc].inverse()
-        if invs is not None:
-            invs.append(inv)
+        invs.append(inv)
         tail = [(c, prow[c]) for c in range(pc + 1, cols) if not prow[c].is_zero()]
         for r in range(pr + 1, len(m)):
             row = m[r]
@@ -150,7 +118,7 @@ def _forward(m, cols, invs=None):
         pr += 1
         if pr == len(m):
             break
-    return pivot_cols, swaps
+    return pivot_cols
 
 
 def _reduced(m, field):
@@ -166,7 +134,7 @@ def _reduced(m, field):
     the last pivot are left as they are."""
     width = len(m[0]) if m else 0
     invs = []
-    pivot_cols, _ = _forward(m, width, invs)
+    pivot_cols = _forward(m, width, invs)
     zero, one = field.zero, field.one
     for i in range(len(pivot_cols) - 1, -1, -1):
         pc = pivot_cols[i]
@@ -204,28 +172,40 @@ def integer_polys(polys):
     """The integer image of the Q(z)[l] polynomials polys: (D, ints) with D
     the lcm of their coefficient denominators and ints the int coefficient
     lists of D * p; None if a coefficient has a z-part."""
-    den = 1
-    for p in polys:
-        for x in p:
-            _, a1, a2, a3 = x.c
-            if a1 or a2 or a3:
-                return None
-            den = lcm(den, x.d)
+    if any(c[1] or c[2] or c[3] for c in {x.c for p in polys for x in p}):
+        return None
+    den = lcm(*{x.d for p in polys for x in p})
     return den, [[x.c[0] * (den // x.d) for x in p] for p in polys]
 
 
-def _integer_rows(polys):
-    """Rows of Q(z)[l] polynomials, each on its own integer image; None if
-    any coefficient has a z-part."""
-    images = [integer_polys(row) for row in polys]
-    return None if None in images else [ints for _, ints in images]
+def _istrip(cs):
+    """The int list cs without its trailing zeros, in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _regular(polys):
+    """The regular representation of rows of Q(z)[l] polynomials (module
+    docstring), times the lcm of their coefficient denominators: each row
+    becomes the four rows z^e * row (e = 0..3), and each entry its four int
+    polynomials on 1, z, z^2, z^3.  Multiplying by z maps (a0, a1, a2, a3)
+    to (-a3, a0, a1, a2)."""
+    den = lcm(*{c.d for row in polys for p in row for c in p})
+    out = []
+    for row in polys:
+        vecs = [[[a * (den // c.d) for a in c.c] for c in p] for p in row]
+        for _ in range(4):
+            out.append([_istrip([v[k] for v in p]) for p in vecs for k in range(4)])
+            vecs = [[[-v[3], v[0], v[1], v[2]] for v in p] for p in vecs]
+    return out
 
 
 def _int_forward(m, cols):
-    """`_forward` without fractions on rows of ints: each row below a pivot p
-    becomes p*row - a*prow, divided by the gcd of its entries.  Every row is
-    a nonzero multiple of the row `_forward` would leave, so the pivot
-    columns are the same.  Returns them."""
+    """Forward elimination without fractions, in place on rows of ints: each
+    row below a pivot p with entry a in the pivot column becomes
+    p*row - a*prow, divided by the gcd of its entries.  Every row stays
+    exact, zero left of its pivot.  Returns the pivot columns in order."""
     pivot_cols, pr = [], 0
     for pc in range(cols):
         pivot = next((r for r in range(pr, len(m)) if m[r][pc]), None)
@@ -250,37 +230,24 @@ def _int_forward(m, cols):
 def _int_combine(p, x, a, y):
     """p*x - y*a for int polynomials x and a and ints p != 0 and y."""
     out = [p * c for c in x]
-    if y:
-        out += [0] * (len(a) - len(out))
-        for i, c in enumerate(a):
-            out[i] -= y * c
-        while out and not out[-1]:
-            out.pop()
-    return out
+    if not y:
+        return out
+    out += [0] * (len(a) - len(out))
+    for i, c in enumerate(a):
+        out[i] -= y * c
+    return _istrip(out)
 
 
-def _reduce_c8(const, moving, cols):
-    """Eliminate the constant rows over Q(z) and reduce the moving rows by
-    their pivot rows, in place; returns the pivot columns."""
-    invs = []
-    pivot_cols, _ = _forward(const, cols, invs)
-    # pivot rows may hold stale entries left of their pivot; only their
-    # pivot and the entries right of it are read
-    for prow, pc, inv in zip(const, pivot_cols, invs):
-        tail = [(c, -prow[c] * inv) for c in range(pc + 1, cols) if not prow[c].is_zero()]
-        for row in moving:
-            a = row[pc]
-            if a:
-                for c, f in tail:
-                    row[c] = padd(row[c], pscale(a, f))
-    return pivot_cols
-
-
-def _reduce_int(const, moving, cols):
-    """`_reduce_c8` without fractions: a moving row becomes p*row - a*prow,
-    divided by the gcd of its coefficients, a nonzero multiple of the row
-    `_reduce_c8` leaves."""
+def _int_rank(const, cols, moving=()):
+    """Rank over Q(l) of int rows: const holds the rows constant in l as
+    tuples of ints, moving the others as tuples of int polynomials in l.
+    Duplicate and zero rows are dropped, the constant rows eliminated, each
+    moving row reduced by their pivot rows to p*row - a*prow over the gcd of
+    its coefficients, and the residual's rank certified by evaluation
+    (module docstring).  One point's evaluated residual is held at a time."""
+    const = [row for row in dict.fromkeys(const) if any(row)]
     pivot_cols = _int_forward(const, cols)
+    moving = list(dict.fromkeys(moving))
     for prow, pc in zip(const, pivot_cols):
         p = prow[pc]
         for k, row in enumerate(moving):
@@ -289,26 +256,6 @@ def _reduce_int(const, moving, cols):
                 row = [_int_combine(p, x, a, y) for x, y in zip(row, prow)]
                 g = gcd(*(c for x in row for c in x))
                 moving[k] = [[c // g for c in x] for x in row] if g > 1 else row
-    return pivot_cols
-
-
-def _rank_by_evaluation(rows, cols):
-    """Rank over Q(z)(l) of nonzero LambdaRat rows, certified as the module
-    docstring explains; on Python ints when no coefficient has a z-part.
-    Only one point's evaluated residual is held at a time."""
-    polys = [_cleared_row(row) for row in rows]
-    ints = _integer_rows(polys)
-    if ints is None:
-        zero, reduce, forward = C8_ZERO, _reduce_c8, lambda m, w: _forward(m, w)[0]
-    else:
-        polys, zero, reduce, forward = ints, 0, _reduce_int, _int_forward
-    const, moving = [], []
-    for row in polys:
-        if all(len(p) <= 1 for p in row):
-            const.append([p[0] if p else zero for p in row])
-        else:
-            moving.append(row)
-    pivot_cols = reduce(const, moving, cols)
     pivots = set(pivot_cols)
     free = [c for c in range(cols) if c not in pivots]
     residual = [res for res in ([row[c] for c in free] for row in moving) if any(res)]
@@ -316,9 +263,27 @@ def _rank_by_evaluation(rows, cols):
     full = min(len(residual), len(free))
     r = points = 0
     while r < full and points < (r + 1) * d + 1:
-        r = max(r, len(forward([[peval(p, points, zero) for p in row] for row in residual], len(free))))
+        r = max(r, len(_int_forward([[peval(p, points, 0) for p in row] for row in residual], len(free))))
         points += 1
     return len(pivot_cols) + r
+
+
+def _poly_rank(polys, cols):
+    """Rank over Q(z)(l) of rows of Q(z)[l] polynomials: on their integer
+    image, or a quarter of the rank of their regular representation when a
+    coefficient has a z-part (module docstring)."""
+    image = integer_polys([p for row in polys for p in row])
+    if image is None:
+        rows, scale = _regular(polys), 4
+    else:
+        rows, scale = zip(*[iter(image[1])] * cols), 1  # the flat image cut back into rows
+    const, moving = [], []
+    for row in rows:
+        if all(len(p) <= 1 for p in row):
+            const.append(tuple(p[0] if p else 0 for p in row))
+        else:
+            moving.append(tuple(map(tuple, row)))
+    return _int_rank(const, scale * cols, moving) // scale
 
 
 def _minor(m, rows, cols, one):
@@ -428,10 +393,16 @@ class Matrix:
         return Matrix(self.rows, self.cols, [fn(e) for e in self.entries], field)
 
     def rank(self) -> int:
-        rows = _distinct_nonzero_rows(self.to_lists())
+        """Rank by integer elimination (module docstring); there is none
+        over Q(z)(l)(t)."""
         if self.field is FIELD_LRAT:
-            return _rank_by_evaluation(rows, self.cols)
-        return len(_forward(rows, self.cols)[0])
+            return _poly_rank([_cleared_row(row) for row in self.to_lists()], self.cols)
+        if self.field is not FIELD_C8:
+            raise TypeError(f"rank over {self.field.name} is not implemented")
+        image = integer_polys([self.entries])
+        if image is None:
+            return _poly_rank([[(x,) for x in row] for row in self.to_lists()], self.cols)
+        return _int_rank(zip(*[iter(image[1][0])] * self.cols), self.cols)  # rows of the flat image
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column, in column order."""
@@ -451,17 +422,11 @@ class Matrix:
         return basis
 
     def determinant(self):
-        """The signed product of the pivots of forward elimination."""
+        """By cofactors, as `adjugate` takes it: ring operations only."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = self.to_lists()
-        pivot_cols, swaps = _forward(m, self.cols)
-        if len(pivot_cols) < self.rows:
-            return self.field.zero
-        det = self.field.one
-        for row, pc in zip(m, pivot_cols):
-            det = det * row[pc]
-        return -det if swaps % 2 else det
+        idx = tuple(range(self.rows))
+        return _minor(self.to_lists(), idx, idx, self.field.one) or self.field.zero
 
     def inverse(self):
         if self.rows != self.cols:

@@ -144,18 +144,22 @@ L = LAMBDA
 
 @contextmanager
 def _rank_branches():
-    """Counts the ranks over Q(z)(l) taken on the integer image ("int") and
-    those kept over Q(z) ("c8")."""
+    """Counts the ranks taken ("rank", one `_int_rank` each) and those of
+    them that ran through the regular representation ("regular")."""
     ran = Counter()
-    real = linalg._integer_rows
+    real_rank, real_regular = linalg._int_rank, linalg._regular
 
-    def spy(polys):
-        out = real(polys)
-        ran["c8" if out is None else "int"] += 1
-        return out
+    def rank(*args):
+        ran["rank"] += 1
+        return real_rank(*args)
+
+    def regular(polys):
+        ran["regular"] += 1
+        return real_regular(polys)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_integer_rows", spy)
+        mp.setattr(linalg, "_int_rank", rank)
+        mp.setattr(linalg, "_regular", regular)
         yield ran
 
 
@@ -165,13 +169,13 @@ def _has_z(rows):
                for p in (LambdaRat.coerce(x).num, LambdaRat.coerce(x).den) for c in p)
 
 
-def _rank_on_its_branch(rows):
-    """The rank of rows over Q(z)(l), checked to have taken the integer image
-    exactly when no entry has a z-part."""
-    m = Matrix.from_rows(rows, FIELD_LRAT)
+def _rank_on_its_branch(rows, field=FIELD_LRAT):
+    """The rank of rows, checked to have run through the regular
+    representation exactly when an entry has a z-part."""
+    m = Matrix.from_rows(rows, field)
     with _rank_branches() as ran:
         rank = m.rank()
-    assert ran == {"c8" if _has_z(m.to_lists()) else "int": 1}
+    assert ran == Counter(rank=1, regular=_has_z(m.to_lists())), ran
     return m, rank
 
 
@@ -183,7 +187,7 @@ def _rank_on_its_branch(rows):
     ([[1 / (L - 1), 1 / L], [1, 1]], 2),  # denominators that vanish at evaluation points
     ([[L / (L + 1), 1], [L * (L - 1), L * L - 1]], 1),  # second row is l^2 - 1 times the first
     ([[0, 0], [0, 0]], 0),
-    # a z-part keeps the elimination over Q(z)
+    # a z-part takes the regular representation
     ([[L, ZETA], [ZETA * L, ZETA * ZETA]], 1),  # second row is z times the first
     ([[L - ZETA, 0], [0, L * (L - 1)]], 2),
     ([[1 / (L + ZETA), 1], [1, L + ZETA]], 1),
@@ -245,7 +249,7 @@ def _planted_rank_matches_reference(planted):
 def test_rank_over_lambda_matches_reference():
     with _rank_branches() as ran:
         _planted_rank_matches_reference()
-    assert ran["int"] >= 10 and ran["c8"] >= 10, ran
+    assert ran["regular"] >= 10 and ran["rank"] - ran["regular"] >= 10, ran
 
 
 def test_residual_rank_reads_the_pivot_columns_of_forward():
@@ -253,7 +257,7 @@ def test_residual_rank_reads_the_pivot_columns_of_forward():
     # of their pivots; a rank that re-scanned a pivot row for its first
     # nonzero entry would take column 0 for all three and miss the rank
     const = [[Cyclo8(x) for x in row] for row in ([1, 1, 0, 0], [1, 0, 0, -1], [1, 0, 0, 0])]
-    pivot_cols, _ = _forward(const, 4)
+    pivot_cols = _forward(const, 4, [])
     assert pivot_cols == [0, 1, 3]
     assert not const[1][0].is_zero() and not const[2][0].is_zero()
     m = Matrix.from_rows([[1, 1, 0, 0], [1, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, L]], FIELD_LRAT)
@@ -327,7 +331,71 @@ def _residual_rank_matches_reference(planted):
 def test_residual_rank_with_constant_rows_matches_reference():
     with _rank_branches() as ran:
         _residual_rank_matches_reference()
-    assert ran["int"] >= 10 and ran["c8"] >= 10, ran
+    assert ran["regular"] >= 10 and ran["rank"] - ran["regular"] >= 10, ran
+
+
+Z = ZETA
+_R1, _R2 = [1 - Z ** 3, Z + Z ** 3, 0, 2], [Z, 0, Cyclo8(1) / 2, 0]
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[1, Z], [Z, Z * Z]], 1),  # second row is z times the first
+    ([[1, Z], [Z, 1]], 2),  # determinant 1 - z^2
+    ([[Z, Z * Z, Z ** 3], [1, Z, Z * Z], [0, 1, Z]], 2),
+    ([[1 + Z, 0, Z ** 3], [0, Z, 1], [Z * Z, 1, 0]], 3),
+    ([[Z / 2, Cyclo8(1) / 3], [Z * Z / 4, Z / 6], [0, 0]], 1),  # denominators in Q
+    ([_R1, _R2, [Z * a + b for a, b in zip(_R1, _R2)]], 2),  # third row is z*first + second
+    ([[1, 2], [2, 4], [0, 0]], 1),  # no z-part: the flat integer image
+])
+def test_rank_over_qz_pinned(rows, rank):
+    m, got = _rank_on_its_branch(rows, FIELD_C8)
+    assert got == rank == _reference_rank(m)
+
+
+def _qz_entries():
+    """Q(z) scalars with z-parts and small denominators, or zero."""
+    coeff = st.integers(-2, 2)
+    return st.one_of(st.just(Cyclo8(0)), st.builds(lambda a, b, c, d, den: Cyclo8(a, b, c, d) / den,
+                                                   coeff, coeff, coeff, coeff, st.integers(1, 3)))
+
+
+@st.composite
+def _planted_rank_qz_matrices(draw):
+    """B * C over Q(z) with C of k rows, so rank at most k; then zero rows
+    and copies of rows are mixed in."""
+    m, k, n = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    b = [[draw(_qz_entries()) for _ in range(k)] for _ in range(m)]
+    c = [[draw(_qz_entries()) for _ in range(n)] for _ in range(k)]
+    rows = [[sum((b[i][j] * c[j][col] for j in range(k)), Cyclo8(0)) for col in range(n)] for i in range(m)]
+    rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 2)))]
+    rows += [[Cyclo8(0)] * n for _ in range(draw(st.integers(0, 1)))]
+    return k, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_planted_rank_qz_matrices())
+def _planted_qz_rank_matches_reference(planted):
+    k, rows = planted
+    m, rank = _rank_on_its_branch(rows, FIELD_C8)
+    assert rank == _reference_rank(m)
+    assert rank <= k
+
+
+def test_rank_over_qz_with_z_parts_matches_reference():
+    with _rank_branches() as ran:
+        _planted_qz_rank_matches_reference()
+    assert ran["regular"] >= 30, ran
+
+
+def test_rank_over_q_z_l_t_is_a_type_error():
+    t = T_VAR
+    with pytest.raises(TypeError, match=r"Q\(z\)\(l\)\(t\)"):
+        Matrix.from_rows([[1, t], [t, 1]], FIELD_TRAT).rank()
+    # no rows, and all-zero rows, have rank 0 over the fields that rank
+    for field in (FIELD_C8, FIELD_LRAT):
+        assert Matrix(0, 3, [], field).rank() == 0
+        assert Matrix(2, 3, [0] * 6, field).rank() == 0
+        assert Matrix(2, 0, [], field).rank() == 0
 
 
 def test_rank_matches_reference_on_transported_family_systems(catalog):
