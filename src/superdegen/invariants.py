@@ -15,14 +15,21 @@ rows use D(e_1) only in terms c^1_ij D(e_1) and D(e_1) gamma, which vanish.
 So the derivations are the solutions of the rows with i, j >= 2 and
 c >= 2 in the n(n - 1) unknowns D(e_c), c >= 2: for n = 4 a 48 x 12 system
 (36 x 12 ungraded) where the full one is 80 x 16 (64 x 16).
+
+A point with an integer image (`structure`: A = D * alpha, C = E * gamma)
+builds its rows on ints, one l-slice of (A, C) at a time: the rows are
+linear in alpha and gamma, so the slices' rows, zipped into int
+polynomials, are the rows times D (products) or E (graded), which keeps the
+rank.  `linalg.int_poly_rank` ranks them at one point above their root
+bound, with no LambdaRat row built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
-from .structure import StructureConstants, grading_split
+from .linalg import Matrix, int_poly_rank
+from .structure import StructureConstants, _image, _slices, grading_split
 
 
 class NotClosed(ValueError):
@@ -33,19 +40,17 @@ class WrongComponent(ValueError):
     pass
 
 
-def _derivation_rows(sc: StructureConstants, graded: bool, first: int):
-    """Rows of the derivation system on the indices first..n-1, in the
-    unknowns D[r][c] with c >= first, row-major (D[r][c] is the coefficient
-    of e_r in D(e_c))."""
-    n = sc.n
+def _derivation_rows(n, terms, gamma, zero, graded: bool, first: int):
+    """Rows of the derivation system of the point (terms, gamma) on the
+    indices first..n-1, in the unknowns D[r][c] with c >= first, row-major
+    (D[r][c] is the coefficient of e_r in D(e_c)).  Entries are field
+    scalars or ints, tested for zero by truth."""
     w = n - first
-    z = sc.field.zero
-    terms, gamma = sc.terms, sc.gamma
     rows = []
     # D(e_i e_j) = D(e_i) e_j + e_i D(e_j), coefficient of e_k: row k of block
     for i in range(first, n):
         for j in range(first, n):
-            block = [[z] * (n * w) for _ in range(n)]
+            block = [[zero] * (n * w) for _ in range(n)]
             for l, a in terms[i][j].items():
                 if l >= first:
                     for k in range(n):
@@ -60,14 +65,14 @@ def _derivation_rows(sc: StructureConstants, graded: bool, first: int):
         # D gamma = gamma D
         for r in range(n):
             for c in range(first, n):
-                row = [z] * (n * w)
+                row = [zero] * (n * w)
                 for l in range(first, n):
                     g = gamma[l][c]
-                    if not g.is_zero():
+                    if g:
                         row[r * w + l - first] = row[r * w + l - first] + g
                 for l in range(n):
                     g2 = gamma[r][l]
-                    if not g2.is_zero():
+                    if g2:
                         row[l * w + c - first] = row[l * w + c - first] - g2
                 rows.append(row)
     return rows
@@ -76,15 +81,22 @@ def _derivation_rows(sc: StructureConstants, graded: bool, first: int):
 def derivation_system(sc: StructureConstants, graded: bool = True):
     """Rows of the linear system cutting out (graded) derivations D, as vectors
     in the n*n unknowns D[r][c] (row-major)."""
-    return _derivation_rows(sc, graded, 0)
+    return _derivation_rows(sc.n, sc.terms, sc.gamma, sc.field.zero, graded, 0)
 
 
 def stabilizer_dim(sc: StructureConstants, graded: bool = True) -> int:
     """Kernel dimension of the derivation system; with graded=False the
     grading is ignored and the result is the underlying algebra's value.
-    A validated point takes the system without the unit (module docstring)."""
-    m = Matrix.from_rows(_derivation_rows(sc, graded, 1 if sc.validated else 0), sc.field)
-    return m.cols - m.rank()
+    A validated point takes the system without the unit, and a point with
+    an integer image builds it on ints (module docstring)."""
+    n, first = sc.n, 1 if sc.validated else 0
+    img = _image(sc)
+    if img is None:
+        m = Matrix.from_rows(_derivation_rows(n, sc.terms, sc.gamma, sc.field.zero, graded, first), sc.field)
+        return m.cols - m.rank()
+    slices = [_derivation_rows(n, terms, gamma, 0, graded, first) for terms, gamma in _slices(img)]
+    cols = n * (n - first)
+    return cols - int_poly_rank([list(zip(*rows)) for rows in zip(*slices)], cols)
 
 
 def orbit_dim(sc: StructureConstants) -> int:

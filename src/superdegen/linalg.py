@@ -23,9 +23,10 @@ keeps the rank.  A row over Q(z)(l) is multiplied by the lcm of its
 denominators, so every entry becomes a polynomial in l of degree at most d
 (a Q(z) matrix is the case d = 0), and the matrix by the lcm of all
 coefficient denominators.  With no z-part, every entry is then an int
-polynomial; duplicate and zero rows are dropped, and elimination runs
-without fractions: a row below a pivot p with entry a in the pivot column
-becomes p*row - a*prow, divided by the gcd of its coefficients.
+polynomial, and the rank over Q(l) is read on ints at one value of l
+(below).  Duplicate and zero rows of the int matrix are dropped, and
+elimination runs without fractions: a row below a pivot p with entry a in
+the pivot column becomes p*row - a*prow, divided by the gcd of its entries.
 
 A coefficient with a z-part takes the regular representation: each entry
 is written on 1, z, z^2, z^3, and each row becomes the four rows z^e * row
@@ -34,24 +35,25 @@ Q(l).  Its row space is the row space over Q(z)(l) read as a Q(l)-space,
 and Q(z)(l) has degree 4 over Q(l), so its rank is 4 times the rank over
 Q(z)(l).  Multiplying by z maps (a0, a1, a2, a3) to (-a3, a0, a1, a2).
 
-Over Q(l) the rank is certified by evaluation.  Rows constant in l are
-eliminated once: let r_c be their rank.  Each other (moving) row is reduced
-by the constant pivot rows; the pivot rows are constant, so the reduced
-entries stay polynomials of degree at most d.  With the pivot columns put
-first the matrix is block triangular, so its rank is r_c + r', where r' is
-the rank of the residual: the reduced moving rows on the columns without a
-constant pivot.  At any l = l0 the rank of the evaluated residual is a
-lower bound on r', since a minor nonzero at l0 is a nonzero polynomial.
-Let r' be the largest rank seen so far.  Every (r'+1)-minor has degree at
-most (r'+1)*d, so once it vanishes at (r'+1)*d + 1 distinct points it is
-zero.  The points are l = 0, 1, 2, ... in turn; evaluation stops when that
-many have given rank at most r', or once r' = min(rows, cols) of the
-residual.  On the regular representation r' is counted on its residual.
+Over Q(l) the rank is read at one point above a root bound
+(`int_poly_rank`).  Let the int polynomials have l-degree at most d and
+coefficients at most c in size, and let k = min(rows, cols).  A j-minor,
+j <= k, is a sum of j! products of j entries, and each coefficient of such
+a product sums at most (d+1)^(j-1) products of j coefficients, so every
+coefficient of every minor the rank can read is at most
+H = k! (d+1)^(k-1) c^k.  A nonzero int polynomial whose coefficients are
+at most H in size has no root of size H + 1 or more (Cauchy's bound: a root
+x satisfies |x| < 1 + H / |leading coefficient|; M. Mignotte, Mathematics
+for Computer Algebra, 1992, 4.1).  So a minor is nonzero exactly when it
+is nonzero at l0 = H + 1, and the rank over Q(l) is the rank of the int
+matrix evaluated at l0: one elimination, with nothing left to certify.
+The regular representation is ranked the same way, with 4r rows and 4c
+columns.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
 from .polys import ONE_POLY, pdivmod, peval, pgcd, pmul
@@ -178,13 +180,6 @@ def integer_polys(polys):
     return den, [[x.c[0] * (den // x.d) for x in p] for p in polys]
 
 
-def _istrip(cs):
-    """The int list cs without its trailing zeros, in place."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
 def _regular(polys):
     """The regular representation of rows of Q(z)[l] polynomials (module
     docstring), times the lcm of their coefficient denominators: each row
@@ -196,7 +191,7 @@ def _regular(polys):
     for row in polys:
         vecs = [[[a * (den // c.d) for a in c.c] for c in p] for p in row]
         for _ in range(4):
-            out.append([_istrip([v[k] for v in p]) for p in vecs for k in range(4)])
+            out.append([[v[k] for v in p] for p in vecs for k in range(4)])
             vecs = [[[-v[3], v[0], v[1], v[2]] for v in p] for p in vecs]
     return out
 
@@ -227,45 +222,22 @@ def _int_forward(m, cols):
     return pivot_cols
 
 
-def _int_combine(p, x, a, y):
-    """p*x - y*a for int polynomials x and a and ints p != 0 and y."""
-    out = [p * c for c in x]
-    if not y:
-        return out
-    out += [0] * (len(a) - len(out))
-    for i, c in enumerate(a):
-        out[i] -= y * c
-    return _istrip(out)
+def _int_rank(rows, cols):
+    """Rank of rows of ints: duplicate and zero rows are dropped, the rest
+    eliminated by `_int_forward`."""
+    return len(_int_forward([row for row in dict.fromkeys(rows) if any(row)], cols))
 
 
-def _int_rank(const, cols, moving=()):
-    """Rank over Q(l) of int rows: const holds the rows constant in l as
-    tuples of ints, moving the others as tuples of int polynomials in l.
-    Duplicate and zero rows are dropped, the constant rows eliminated, each
-    moving row reduced by their pivot rows to p*row - a*prow over the gcd of
-    its coefficients, and the residual's rank certified by evaluation
-    (module docstring).  One point's evaluated residual is held at a time."""
-    const = [row for row in dict.fromkeys(const) if any(row)]
-    pivot_cols = _int_forward(const, cols)
-    moving = list(dict.fromkeys(moving))
-    for prow, pc in zip(const, pivot_cols):
-        p = prow[pc]
-        for k, row in enumerate(moving):
-            a = row[pc]
-            if a:
-                row = [_int_combine(p, x, a, y) for x, y in zip(row, prow)]
-                g = gcd(*(c for x in row for c in x))
-                moving[k] = [[c // g for c in x] for x in row] if g > 1 else row
-    pivots = set(pivot_cols)
-    free = [c for c in range(cols) if c not in pivots]
-    residual = [res for res in ([row[c] for c in free] for row in moving) if any(res)]
-    d = max((len(p) - 1 for row in residual for p in row), default=0)
-    full = min(len(residual), len(free))
-    r = points = 0
-    while r < full and points < (r + 1) * d + 1:
-        r = max(r, len(_int_forward([[peval(p, points, 0) for p in row] for row in residual], len(free))))
-        points += 1
-    return len(pivot_cols) + r
+def int_poly_rank(rows, cols):
+    """Rank over Q(l) of rows of int polynomials in l (coefficient lists,
+    low degree first): the rank of the rows evaluated at l0 = H + 1 above
+    the root bound H of their minors (module docstring)."""
+    polys = [p for row in rows for p in row]
+    c = max((abs(x) for p in polys for x in p), default=0)
+    d = max(map(len, polys), default=1) - 1
+    k = min(len(rows), cols)
+    l0 = factorial(k) * (d + 1) ** max(k - 1, 0) * c ** k + 1
+    return _int_rank([tuple(peval(p, l0, 0) for p in row) for row in rows], cols)
 
 
 def _poly_rank(polys, cols):
@@ -274,16 +246,8 @@ def _poly_rank(polys, cols):
     coefficient has a z-part (module docstring)."""
     image = integer_polys([p for row in polys for p in row])
     if image is None:
-        rows, scale = _regular(polys), 4
-    else:
-        rows, scale = zip(*[iter(image[1])] * cols), 1  # the flat image cut back into rows
-    const, moving = [], []
-    for row in rows:
-        if all(len(p) <= 1 for p in row):
-            const.append(tuple(p[0] if p else 0 for p in row))
-        else:
-            moving.append(tuple(map(tuple, row)))
-    return _int_rank(const, scale * cols, moving) // scale
+        return int_poly_rank(_regular(polys), 4 * cols) // 4
+    return int_poly_rank(list(zip(*[iter(image[1])] * cols)), cols)  # the flat image cut back into rows
 
 
 def _minor(m, rows, cols, one):

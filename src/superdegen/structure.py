@@ -30,12 +30,15 @@ with rational coefficients (the families, and what a g over Q makes of
 them) has one: with common denominators D of alpha and E of gamma,
 A = D * alpha and C = E * gamma are int coefficient lists of degree at most
 d (`linalg.integer_polys`).  Times D, D, D^2, E, D * E^2 and E^2, the
-equations of families 1..6 are int polynomials in l of degree at most 3d
-(family 5 reads E * A C = C C A), and a nonzero one has at most 3d roots.
-So `check_axioms` evaluates the image at l = 0, 1, ..., 3d, reports an
-index exactly when it is nonzero at one of these 3d + 1 points, and decides
-the unit shortcut over all of them first.  It reads the image from the
-point's own constants, so revalidation checks what transport produced.
+equations of families 1..6 are int polynomials in l.  With M the largest
+of D, E and every coefficient size in A and C, each equation sums at most
+n^2 + n products of at most three polynomials of degree at most d (family
+5 reads E * A C = C C A), so its coefficients are below
+x0 = (n^2 + n) (d+1)^2 M^3 + 1, and by Cauchy's bound (`linalg`) a nonzero
+one does not vanish at x0.  `check_axioms` evaluates the image at l = x0
+alone and reports an index exactly when its equation is nonzero there.
+It reads the image from the point's own constants, so revalidation checks
+what transport produced.
 Other points, Q(z) points included, are checked over their field.
 
 Transport by the adjugate (`linalg.adjugate`): alpha is contracted with g,
@@ -44,7 +47,8 @@ once (`_moved`).  A point with an integer image moved by a g over Q runs on
 ints: with G = Dg * g, g^-1 = Dg * adj(G) / det(G), so each l-slice of A is
 contracted with G, G and adj(G) and divided by Dg * det(G) * D, and gamma
 is adj(G) C G / (det(G) * E).  Other points fold 1/det(g) into adj(g), and
-certificates read the numerators (`moved_numerators`).
+certificates read the numerators (`moved_numerators`).  `transport` tests
+det(g) for zero where the adjugate gives it.
 """
 
 from __future__ import annotations
@@ -172,24 +176,35 @@ def _image(sc):
     return a[0], alpha, c[0], [c[1][r * n:(r + 1) * n] for r in range(n)], max(map(len, a[1] + c[1])) - 1
 
 
-def _points(sc):
+def _slices(img):
+    """The l-slices of the integer image img: for e = 0..d, the terms dicts
+    of the coefficients of l^e in A and the rows of those in C."""
+    _, alpha, _, gamma, d = img
+    return [([[{k: p[e] for k, p in enumerate(row) if len(p) > e and p[e]} for row in plane] for plane in alpha],
+             [[p[e] if len(p) > e else 0 for p in row] for row in gamma]) for e in range(d + 1)]
+
+
+def _point(sc):
     """What the equation loops run on, as (terms, gamma, D, E, zero): the
-    integer image at l = 0, 1, ..., 3d, or the point's own constants."""
+    integer image at l = x0 above its root bound (module docstring), or the
+    point's own constants."""
     img = _image(sc)
     if img is None:
-        return [(sc.terms, sc.gamma, sc.field.one, sc.field.one, sc.field.zero)]
+        return sc.terms, sc.gamma, sc.field.one, sc.field.one, sc.field.zero
     den, alpha, eden, gamma, d = img
-    return [([[{k: v for k, p in enumerate(row) if (v := peval(p, x, 0))} for row in plane] for plane in alpha],
-             [[peval(p, x, 0) for p in row] for row in gamma], den, eden, 0) for x in range(3 * max(d, 0) + 1)]
+    m = max(den, eden, *(abs(c) for rows in (*alpha, gamma) for row in rows for p in row for c in p))
+    x = (sc.n ** 2 + sc.n) * (d + 1) ** 2 * m ** 3 + 1
+    return ([[{k: v for k, p in enumerate(row) if (v := peval(p, x, 0))} for row in plane] for plane in alpha],
+            [[peval(p, x, 0) for p in row] for row in gamma], den, eden, 0)
 
 
 def check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
     """Evaluate the defining equations, on the integer image if there is one;
     maps family number -> violated index tuples, in lexicographic order."""
     n = sc.n
-    points = _points(sc)
+    terms, gamma, du, ge, z = _point(sc)
     report = {k: set() for k in ((1, 2, 3, 4, 5, 6) if unital else (3, 5, 6))}
-    for terms, gamma, du, ge, z in points if unital else ():
+    if unital:
         for i in range(n):
             for j in range(n):
                 one = du if i == j else z
@@ -201,36 +216,34 @@ def check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
             if not (gamma[j][0] == (ge if j == 0 else z)):
                 report[4].add((j + 1,))
     # a unit fixed by sigma implies the equations of families 3 and 5 that
-    # involve it (module docstring); decided over all points first
+    # involve it (module docstring)
     idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
-    for terms, gamma, _, ge, z in points:
-        # associativity: (e_i e_j) e_k = e_i (e_j e_k), coefficient of e_m
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    res = {}
-                    for l, a in terms[i][j].items():
-                        _add_scaled(res, a, terms[l][k])
-                    for l, a in terms[j][k].items():
-                        _add_scaled(res, -a, terms[i][l])
-                    report[3].update((i + 1, j + 1, k + 1, m + 1) for m, v in res.items() if v)
-        # sigma multiplicative: sigma(e_i e_j) against sigma(e_i) sigma(e_j);
-        # the left side has one factor gamma = E * sigma fewer, so it is scaled by E
-        lhs = _along(terms, gamma if ge == 1 else [[ge * x for x in row] for row in gamma], 2, idx)
-        rhs = _along(_along(terms, gamma, 0), gamma, 1, idx)
-        for i in idx:
-            for j in idx:
-                report[5].update((i + 1, j + 1, m + 1) for m in range(n)
-                                 if lhs[i][j].get(m, z) - rhs[i][j].get(m, z))
-        # sigma involutive
-        for i in range(n):
-            for k in range(n):
-                acc = -(ge * ge) if i == k else z
-                for j in range(n):
-                    if gamma[j][i]:
-                        acc = acc + gamma[j][i] * gamma[k][j]
-                if acc:
-                    report[6].add((i + 1, k + 1))
+    # associativity: (e_i e_j) e_k = e_i (e_j e_k), coefficient of e_m
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                res = {}
+                for l, a in terms[i][j].items():
+                    _add_scaled(res, a, terms[l][k])
+                for l, a in terms[j][k].items():
+                    _add_scaled(res, -a, terms[i][l])
+                report[3].update((i + 1, j + 1, k + 1, m + 1) for m, v in res.items() if v)
+    # sigma multiplicative: sigma(e_i e_j) against sigma(e_i) sigma(e_j);
+    # the left side has one factor gamma = E * sigma fewer, so it is scaled by E
+    lhs = _along(terms, gamma if ge == 1 else [[ge * x for x in row] for row in gamma], 2, idx)
+    rhs = _along(_along(terms, gamma, 0), gamma, 1, idx)
+    for i in idx:
+        for j in idx:
+            report[5].update((i + 1, j + 1, m + 1) for m in range(n) if lhs[i][j].get(m, z) - rhs[i][j].get(m, z))
+    # sigma involutive
+    for i in range(n):
+        for k in range(n):
+            acc = -(ge * ge) if i == k else z
+            for j in range(n):
+                if gamma[j][i]:
+                    acc = acc + gamma[j][i] * gamma[k][j]
+            if acc:
+                report[6].add((i + 1, k + 1))
     return {k: tuple(sorted(v)) for k, v in report.items()}
 
 
@@ -282,8 +295,8 @@ def grading_split(sc: StructureConstants) -> GradedSplit:
     return GradedSplit(tuple(basis0), tuple(basis1), i)
 
 
-def group_element(matrix: Matrix) -> Matrix:
-    """Check membership in the basis-change group fixing the unit."""
+def _fixes_unit(matrix: Matrix):
+    """The checks of `group_element` before the determinant."""
     n = matrix.rows
     if matrix.cols != n:
         raise NotInGroup("group elements are square")
@@ -291,6 +304,11 @@ def group_element(matrix: Matrix) -> Matrix:
     expected = tuple(matrix.field.one if r == 0 else matrix.field.zero for r in range(n))
     if not all(a == b for a, b in zip(first, expected)):
         raise NotInGroup("first column must be the unit vector e_1")
+
+
+def group_element(matrix: Matrix) -> Matrix:
+    """Check membership in the basis-change group fixing the unit."""
+    _fixes_unit(matrix)
     if matrix.determinant().is_zero():
         raise NotInGroup("matrix is singular")
     return matrix
@@ -309,10 +327,13 @@ def _moved(terms, gamma, g, h, zero):
 def moved_numerators(g: Matrix, sc: StructureConstants, field, divide=False):
     """(N, M, det g) for sc moved by g over field, g unchecked: N[i][j] maps
     k to the nonzero det(g) * alpha'[i][j][k], M holds det(g) * gamma'.
-    With divide, 1/det(g) is folded into adj(g): N and M are alpha', gamma'."""
+    With divide, 1/det(g) is folded into adj(g): N and M are alpha', gamma',
+    and a singular g raises NotInGroup."""
     lam = [[field.lift(x) for x in row] for row in g.to_lists()]
     adj, det = adjugate(lam, field.zero, field.one)
     if divide:
+        if not det:
+            raise NotInGroup("matrix is singular")
         inv = 1 / det
         adj = [[x * inv for x in row] for row in adj]
     terms = [[{k: field.lift(a) for k, a in row.items()} for row in plane] for plane in sc.terms]
@@ -330,11 +351,12 @@ def _transport_image(g, sc, field):
     gi = img and integer_polys(consts)
     if gi is None:
         return None
-    n, (dg, flat), (den, alpha, eden, gamma, d) = sc.n, gi, img
+    n, (dg, flat), (den, _, eden, _, _) = sc.n, gi, img
     gm = [[p[0] if p else 0 for p in flat[r * n:(r + 1) * n]] for r in range(n)]
     adj, det = adjugate(gm)
-    slices = [_moved([[{k: p[e] for k, p in enumerate(row) if len(p) > e and p[e]} for row in plane] for plane in alpha],
-                     [[p[e] if len(p) > e else 0 for p in row] for row in gamma], gm, adj, 0) for e in range(d + 1)]
+    if not det:
+        raise NotInGroup("matrix is singular")
+    slices = [_moved(terms, c, gm, adj, 0) for terms, c in _slices(img)]
 
     def scalar(coeffs, q):
         while coeffs and not coeffs[-1]:
@@ -349,7 +371,7 @@ def transport(g: Matrix, sc: StructureConstants, field=None, revalidate=True) ->
     """Structure constants in the new basis whose vectors are the columns of
     g, by the adjugate (module docstring)."""
     field = field or sc.field
-    group_element(g)
+    _fixes_unit(g)  # det(g) = 0 is caught where the adjugate is taken
     n = sc.n
     moved = _transport_image(g, sc, field)
     if moved is not None:

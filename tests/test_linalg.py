@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from superdegen import linalg
 from superdegen.certs import _lift_matrix_to_trat, load_cert_file
 from superdegen.cyclo import C8_ONE, C8_ZERO, ZETA, Cyclo8
-from superdegen.invariants import derivation_system
+from superdegen.invariants import derivation_system, stabilizer_dim
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular, _forward, adjugate
 from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.structure import random_group_element, transport
@@ -184,7 +184,7 @@ def _rank_on_its_branch(rows, field=FIELD_LRAT):
     ([[L * (L - 1) * (L - 2), 1], [0, 0]], 1),
     ([[L * (L - 1) * (L - 2)]], 1),  # rank 0 at l = 0, 1, 2
     ([[L * (L - 1), 0, 0], [0, L - 2, 0], [0, 0, L * L - 5 * L + 6]], 3),
-    ([[1 / (L - 1), 1 / L], [1, 1]], 2),  # denominators that vanish at evaluation points
+    ([[1 / (L - 1), 1 / L], [1, 1]], 2),  # denominators that vanish at l = 0 and l = 1
     ([[L / (L + 1), 1], [L * (L - 1), L * L - 1]], 1),  # second row is l^2 - 1 times the first
     ([[0, 0], [0, 0]], 0),
     # a z-part takes the regular representation
@@ -194,6 +194,31 @@ def _rank_on_its_branch(rows, field=FIELD_LRAT):
     ([[L / 3, Cyclo8(1) / 2], [L * L / 5, L / 7]], 2),  # rational, with denominators in Q
 ])
 def test_rank_over_lambda_pinned(rows, rank):
+    m, got = _rank_on_its_branch(rows)
+    assert got == rank == _reference_rank(m)
+
+
+_C = 1000
+# det(A0 + l A1) for A0, A1 in {-1, 0, 1}^(3x3) vanishes at l = 0 and at
+# l = 5 = (d+1)^(k-1) c^k + 1, the point the root bound gives without its k!
+_K_ROOT = [[1 - L, -1 - L, 0], [-1 - L, 1, -L], [1 - L, 1 - L, -1]]
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[L - _C, _C], [_C, L - _C]], 2),  # det (l - c)^2 - c^2 = l (l - 2c)
+    ([[L - _C * _C]], 1),  # zero at l = c^2, the largest coefficient
+    ([[L - _C * _C, 0], [0, L - _C * _C + 1]], 2),
+    ([[L - _C * _C, 1], [L * (L - _C * _C), L]], 1),  # second row is l times the first
+    (_K_ROOT, 3),
+    (_K_ROOT + [[x + y for x, y in zip(_K_ROOT[0], _K_ROOT[1])]], 3),
+    ([[2 * L - 1, 3 * L + 1 - 6 * _C], [1 / (L - _C), 1 / (L - 2 * _C)]], 2),  # denominators vanish at c, 2c
+    # z-parts, through the regular representation
+    ([[ZETA * (L - _C * _C)]], 1),
+    ([[ZETA * (L - _C), ZETA * _C], [_C, L - _C]], 2),  # det z l (l - 2c)
+    ([[(1 + ZETA) * x for x in row] for row in _K_ROOT], 3),
+    ([[L - _C * _C, ZETA], [ZETA * (L - _C * _C), ZETA * ZETA]], 1),  # second row is z times the first
+])
+def test_rank_with_roots_at_large_integers_pinned(rows, rank):
     m, got = _rank_on_its_branch(rows)
     assert got == rank == _reference_rank(m)
 
@@ -265,7 +290,7 @@ def test_residual_rank_reads_the_pivot_columns_of_forward():
 
 
 @pytest.mark.parametrize("rows, rank", [
-    # all rows constant in l: no evaluation at all
+    # all rows constant in l (d = 0)
     ([[1, 2, 0], [2, 4, 0], [0, ZETA, 1]], 2),
     ([[1, ZETA], [ZETA, 1]], 2),
     # constant only once denominators are cleared
@@ -407,6 +432,39 @@ def test_rank_matches_reference_on_transported_family_systems(catalog):
             for graded in (True, False):
                 m = Matrix.from_rows(derivation_system(moved, graded), moved.field)
                 assert m.rank() == _reference_rank(m), (j, graded)
+
+
+def _stabilizer_rank_calls(point, graded):
+    """stabilizer_dim(point, graded) and the number of `Matrix.rank` calls it made."""
+    calls = []
+    real = Matrix.rank
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "rank", lambda self: calls.append(self) or real(self))
+        return stabilizer_dim(point, graded), len(calls)
+
+
+def test_stabilizer_dim_on_the_integer_image_matches_the_full_reference_rank(catalog):
+    # family points moved by g over Z, over Q, with an l-entry (all three on
+    # the integer image, no Matrix.rank), with a z-part and with a denominator
+    # in l (over Q(z)(l)); n^2 minus the Gauss-Jordan rank of the full system
+    # is the reference
+    rng = random.Random(23)
+    for j in range(3):
+        sc = catalog.entry(f"(18;l|{j})").sc
+        rational = Matrix.from_rows([[Cyclo8(int(r == c)) if c == 0 or r == c else Cyclo8(rng.randint(-2, 2)) / 3
+                                      for c in range(4)] for r in range(4)], FIELD_LRAT)
+        e1 = [1, 0, 0, 0]
+        cases = [(random_group_element(rng, 4, FIELD_LRAT), True), (rational, True),
+                 (Matrix.from_rows([e1, [0, 1, L, 0], [0, 0, 1, 0], [0, 2 - L, 0, 1]], FIELD_LRAT), True),
+                 (Matrix.from_rows([e1, [0, 1, 0, 0], [0, 1, 1, ZETA], [0, 0, 0, 1]], FIELD_LRAT), False),
+                 (Matrix.from_rows([e1, [0, 1, 0, 1 / (L - 2)], [0, 1, 1, 0], [0, 0, 0, 1]], FIELD_LRAT), False)]
+        for g, on_image in cases:
+            moved = transport(g, sc)
+            for graded in (True, False):
+                full = Matrix.from_rows(derivation_system(moved, graded), FIELD_LRAT)
+                dim, ranks = _stabilizer_rank_calls(moved, graded)
+                assert dim == 16 - _reference_rank(full), (j, graded)
+                assert ranks == (0 if on_image else 1), (j, graded)
 
 
 def test_rank_agrees_with_sympy(catalog):

@@ -67,6 +67,26 @@ def test_transport_identity_and_group_guard(catalog):
         transport(bad, sc)  # first column must stay e_1
 
 
+def test_transport_reports_the_group_element_errors_in_order(catalog):
+    # transport takes det g from the adjugate, on ints or over the field; a
+    # bad g gets the messages of group_element, shape and unit column first
+    singular = [[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 4, 0], [0, 0, 0, 1]]
+    cases = [(Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], FIELD_C8), "group elements are square"),
+             (Matrix.from_rows([[1, 0, 0, 0], [0, 1, 2, 0], [1, 2, 4, 0], [0, 0, 0, 1]], FIELD_C8),
+              "first column must be the unit vector e_1"),
+             (Matrix.from_rows(singular, FIELD_C8), "matrix is singular"),
+             (Matrix.from_rows([[x * (1 + L) for x in row] if r else row for r, row in enumerate(singular)],
+                               FIELD_LRAT), "matrix is singular")]
+    for label in ("(9|2)", "(18;l|1)"):
+        sc = catalog.get(label)
+        for g, message in cases:
+            if g.field is FIELD_LRAT and sc.field is FIELD_C8:
+                continue
+            for call in (group_element, lambda g: transport(g, sc), lambda g: transport_algebra(g, sc.alpha, sc.field)):
+                with pytest.raises(NotInGroup, match=f"^{message}$"):
+                    call(g)
+
+
 def test_transport_swap_of_odd_vectors(catalog):
     # swapping the two odd basis vectors of (9|2) permutes indices 3 and 4
     sc = catalog.get("(9|2)")
@@ -389,21 +409,21 @@ def _paths():
     the field ("field"), and the equation checks run on the image ("ints")
     and over the field ("scalars")."""
     ran = Counter()
-    real_transport, real_points = structure._transport_image, structure._points
+    real_transport, real_point = structure._transport_image, structure._point
 
     def transport_spy(g, sc, field):
         out = real_transport(g, sc, field)
         ran["field" if out is None else "image"] += 1
         return out
 
-    def points_spy(sc):
-        out = real_points(sc)
-        ran["ints" if type(out[0][-1]) is int else "scalars"] += 1
+    def point_spy(sc):
+        out = real_point(sc)
+        ran["ints" if type(out[-1]) is int else "scalars"] += 1
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_transport_image", transport_spy)
-        mp.setattr(structure, "_points", points_spy)
+        mp.setattr(structure, "_point", point_spy)
         yield ran
 
 
@@ -502,7 +522,7 @@ def test_z_parts_and_l_dependent_changes_keep_the_field(catalog):
 
 
 def _falling(d, c=1):
-    """c * l (l - 1) ... (l - 3d + 1): zero at the first 3d evaluation points."""
+    """c * l (l - 1) ... (l - 3d + 1): zero at l = 0, 1, ..., 3d - 1."""
     out = LambdaRat.coerce(c)
     for i in range(3 * d):
         out = out * (L - i)
@@ -539,10 +559,25 @@ def test_violation_of_degree_3d_seen_only_at_the_last_point():
     assert report == _reference_check_axioms(point)
 
 
+@pytest.mark.parametrize("which, index", [("alpha", (0, 1, 1)), ("alpha", (1, 2, 3)), ("gamma", (2, 0)),
+                                          ("gamma", (3, 2))])
+def test_violation_vanishing_at_a_large_integer_matches_reference(catalog, which, index):
+    # a family constant shifted by l - 1000, moved or not: every equation it
+    # breaks vanishes at l = 1000, far above the degree of the equations
+    sc = catalog.get("(18;l|2)")
+    with _paths() as ran:
+        for point in (sc, transport(random_group_element(random.Random(5), 4, FIELD_LRAT), sc, revalidate=False)):
+            bad = _perturbed(point, which, index, L - 1000)
+            report = check_axioms(bad)
+            assert not axioms_ok(report)
+            assert report == _reference_check_axioms(bad)
+    assert ran["ints"] == 2
+
+
 @pytest.mark.parametrize("which, index", [("alpha", (0, 1, 1)), ("alpha", (3, 0, 3)), ("gamma", (2, 0))])
 def test_unit_break_vanishing_at_zero_is_decided_over_all_points(catalog, which, index):
     # the unit holds at l = 0 only; the triples and pairs on e_1 are then
-    # checked at every point, as over Q(z)(l)
+    # checked, as over Q(z)(l)
     bad = _perturbed(catalog.get("(18;l|2)"), which, index, L)
     report = check_axioms(bad)
     assert report == _reference_check_axioms(bad)
