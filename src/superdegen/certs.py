@@ -14,6 +14,38 @@ regular at t = 0 when ord N >= k = ord det g, with limit N[k] / det[k]
 (lowest terms of the expansions at 0, when l := p/q puts t in a
 denominator).  N / det g is reduced only for the detail string of a pole.
 
+The t-image.  With no parameter substituted, and rational constants in the
+source, the pre-change and the coefficients of the curve, stage (ii) runs
+on ints (`_t_image`).  With D the common denominator of the
+source constants, A = D alpha and C = D gamma are ints; with Dg that of
+the pre-change times that of the curve, G = Dg g is a matrix of int
+polynomials in t, of at most e coefficients each, all at most c in size.
+Then g^-1 = Dg adj(G) / det G, so alpha' = N / (Dg det(G) D) with N the
+contraction of A with G, G and adj(G), and gamma' = M / (det(G) D) with
+M = adj(G) C G.  An entry of adj(G) sums (n-1)! products of n-1 entries of
+G, and one of N sums n^3 products of two entries of G, one of adj(G) and
+one of A, so with m the largest size in A and C every coefficient of N, M
+and det G is below H = n^3 (n-1)! m e^n c^(n+1).  Each entry of G is
+evaluated at t0 = 2^b with 2^(b-1) > H (Kronecker substitution; D. Harvey,
+J. Symb. Comp. 44, 2009), and `linalg.adjugate` and `structure._moved` run
+on the Python ints G(t0).  The image v of a polynomial whose coefficients
+lie below 2^(b-1) in size holds them as its signed base-2^b digits: its
+order at t = 0 is the number of trailing zero bits of v divided by b, and
+its lowest coefficient the signed digit there.  The limit is then
+N[k] / (det[k] Dg D) or M[k] / (det[k] D).  A pole's detail string decodes
+all digits.  As det G(t0) = det P det C(t0), with P and C the int pre-change
+and curve, a nonzero det G(t0) also shows that the curve is generically
+invertible, and its determinant over Q(z)(l)(t) is not taken.  Other
+certificates (a z-part, a family source, an l-dependent pre-change, a
+substituted parameter) run over Q(z)(l)(t).
+
+Compare first.  When the expected point is validated (a catalog entry, a
+substituted family member, or the target moved by the post-change, which
+`transport` revalidates), a limit equal to it has its constants, so it
+satisfies the defining equations and is VERIFIED without a check of its
+own.  Otherwise the limit's equations are checked, and the stages and
+detail strings follow the order limit, post-change, mismatch.
+
 A family-limit certificate additionally substitutes a t-rational function
 for the family parameter before running the same pipeline, witnessing that
 the target lies in the closure of the union of the family's orbits.
@@ -29,16 +61,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from math import factorial
 
 from .catalog import FORBIDDEN_LAMBDA, Catalog, UnknownLabel
 from .invariants import closed_set_member
-from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix
-from .cyclo import C8_ZERO
+from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, adjugate, integer_polys
+from .cyclo import C8_ZERO, Cyclo8
 from .literals import ParseError, parse_scalar
 from .polys import porder
 from .scalars import LambdaRat
-from .structure import NotInGroup, StructureConstants, group_element, moved_numerators, transport, validate
+from .structure import (NotInGroup, StructureConstants, _moved, group_element, moved_numerators, transport,
+                        validate)
 from .tpoly import TRat, substitute_lambda
 
 VERIFIED = "verified"
@@ -122,6 +157,61 @@ def _lowest(x: TRat):
     return lead if x.is_tpoly() else lead / x.den[porder(x.den)]
 
 
+def _t_image(cert: SpecializationCert, sc: StructureConstants):
+    """Stage (ii) on the integer image at t0 = 2^b (module docstring):
+    (b, N, M, det G, Dg * D, D) as ints, or None unless no parameter is
+    substituted and the constants of sc and of the pre-change, and the
+    coefficients of the curve, are rational."""
+    n, pre = sc.n, cert.pre_change
+    if cert.lambda_sub is not None or sc.field is not FIELD_C8 or (pre is not None and pre.field is not FIELD_C8) \
+            or any(type(c) is not Cyclo8 for x in cert.curve.entries for c in x.num):
+        return None
+    point = integer_polys([[x for plane in sc.alpha for row in plane for x in row],
+                           [x for row in sc.gamma for x in row]])
+    curve = integer_polys([x.num for x in cert.curve.entries])
+    change = (1, [None]) if pre is None else integer_polys([pre.entries])
+    if point is None or curve is None or change is None:
+        return None
+    (den, (a, c)), (dc, polys), (dp, (p,)) = point, curve, change
+    # G = P C has coefficients at most n max|P| max|C|, or max|C| without P
+    top = max(abs(x) for q in polys for x in q) * (1 if p is None else n * max(map(abs, p)))
+    m = max(1, *map(abs, a), *map(abs, c))
+    b = (n ** 3 * factorial(n - 1) * m * max(map(len, polys)) ** n * top ** (n + 1)).bit_length() + 1
+    c0 = [sum(x << b * k for k, x in enumerate(q)) for q in polys]
+    c0 = [c0[r * n:(r + 1) * n] for r in range(n)]
+    g0 = c0 if p is None else [[sum(p[r * n + k] * c0[k][col] for k in range(n)) for col in range(n)]
+                               for r in range(n)]
+    adj, det = adjugate(g0)
+    terms = [[{k: v for k in range(n) if (v := a[(i * n + j) * n + k])} for j in range(n)] for i in range(n)]
+    nums, gnums = _moved(terms, [c[r * n:(r + 1) * n] for r in range(n)], g0, adj, 0)
+    return b, nums, gnums, det, dp * dc * den, den
+
+
+def _int_order(b: int, v: int) -> int:
+    """ord_t of the nonzero polynomial whose image at 2^b is v."""
+    return ((v & -v).bit_length() - 1) // b
+
+
+def _digit(b: int, v: int) -> int:
+    """The signed base-2^b digit of v at place 0."""
+    d = v & ((1 << b) - 1)
+    return d - (1 << b) if d >> (b - 1) else d
+
+
+def _int_lowest(b: int, v: int) -> Cyclo8:
+    """The lowest coefficient of the nonzero polynomial whose image at 2^b is v."""
+    return Cyclo8(_digit(b, v >> b * _int_order(b, v)))
+
+
+def _decoded(b: int, v: int) -> TRat:
+    """The polynomial in t whose image at 2^b is v: its signed digits."""
+    coeffs = []
+    while v:
+        coeffs.append(_digit(b, v))
+        v = (v - coeffs[-1]) >> b
+    return TRat([Cyclo8(x) for x in coeffs])
+
+
 def verify_specialization(cert: SpecializationCert, catalog: Catalog,
                           source_sc: StructureConstants | None = None,
                           target_sc: StructureConstants | None = None) -> Outcome:
@@ -147,7 +237,8 @@ def verify_specialization(cert: SpecializationCert, catalog: Catalog,
     for e in cert.curve.entries:
         if not e.is_tpoly():
             return Outcome(NOT_VERIFIED, "curve", f"curve entry {e} is not polynomial in t")
-    if cert.curve.determinant().is_zero():
+    image = _t_image(cert, src)  # a nonzero det G(t0) shows det C != 0 (module docstring)
+    if (image is None or not image[3]) and cert.curve.determinant().is_zero():
         return Outcome(NOT_VERIFIED, "curve-not-generic", "det of the basis curve vanishes identically")
     # stage (i): composed curve generically in the basis-change group
     pre = cert.pre_change
@@ -156,36 +247,49 @@ def verify_specialization(cert: SpecializationCert, catalog: Catalog,
             group_element(pre)
         except NotInGroup as exc:
             return Outcome(NOT_VERIFIED, "pre-change", str(exc))
-        composed = _lift_matrix_to_trat(pre, lam) * cert.curve
-    else:
-        composed = cert.curve
     # stage (ii): transport and regularity at t = 0 (module docstring)
-    nums, gnums, det = moved_numerators(composed, _sc_over_trat(src, lam), FIELD_TRAT)
+    if image is None:
+        composed = cert.curve if pre is None else _lift_matrix_to_trat(pre, lam) * cert.curve
+        nums, gnums, det = moved_numerators(composed, _sc_over_trat(src, lam), FIELD_TRAT)
+        scales, order, lowest, decoded = (1, 1), TRat.order_at_zero, _lowest, TRat.coerce
+    else:
+        b, nums, gnums, det, *scales = image
+        order, lowest, decoded = partial(_int_order, b), partial(_int_lowest, b), partial(_decoded, b)
     if not det:
         return Outcome(NOT_VERIFIED, "curve-not-generic", "composed curve is singular for all t")
-    order, low = det.order_at_zero(), _lowest(det)
-    cells = [("alpha", (i, j, k), nums[i][j].get(k)) for i in range(n) for j in range(n) for k in range(n)]
-    cells += [("gamma", (r, c), gnums[r][c]) for r in range(n) for c in range(n)]
+    k, low = order(det), lowest(det)
+    cells = [(0, (i, j, c), nums[i][j].get(c)) for i in range(n) for j in range(n) for c in range(n)]
+    cells += [(1, (r, c), gnums[r][c]) for r in range(n) for c in range(n)]
+    dens = [low * scale for scale in scales]
     values = []
-    for name, idx, num in cells:
-        if num and num.order_at_zero() < order:
+    for block, idx, num in cells:
+        if num and order(num) < k:
             where = "".join(f"[{x + 1}]" for x in idx)
-            return Outcome(NOT_VERIFIED, "regularity", f"{name}{where} = {num / det} has a pole at t = 0")
-        values.append(_lowest(num) / low if num and num.order_at_zero() == order else C8_ZERO)
-    limit_alpha = [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    limit_gamma = [values[n ** 3 + r * n:n ** 3 + (r + 1) * n] for r in range(n)]
-    field = FIELD_LRAT if any(isinstance(x, LambdaRat) for x in values[:n ** 3]) else FIELD_C8
-    try:
-        limit = validate(StructureConstants(n, limit_alpha, limit_gamma, field))
-    except Exception as exc:
-        return Outcome(NOT_VERIFIED, "limit", f"limit point violates the defining equations: {exc}")
-    # stage (iii): exact match against the target constants
-    expected = tgt
+            ratio = decoded(num) / (decoded(det) * scales[block])
+            return Outcome(NOT_VERIFIED, "regularity",
+                           f"{('alpha', 'gamma')[block]}{where} = {ratio} has a pole at t = 0")
+        values.append(lowest(num) / dens[block] if num and order(num) == k else C8_ZERO)
+    # stage (iii): exact match against the target constants, compared first
+    # (module docstring)
+    expected, failed = tgt, None
     if cert.post_change is not None:
         try:
             expected = transport(cert.post_change, tgt)
         except NotInGroup as exc:
-            return Outcome(NOT_VERIFIED, "post-change", str(exc))
+            failed = exc
+    if failed is None and expected.validated and values == [
+            x for part in (*expected.alpha, expected.gamma) for row in part for x in row]:
+        return Outcome(VERIFIED)
+    limit_alpha = [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    limit_gamma = [values[n ** 3 + r * n:n ** 3 + (r + 1) * n] for r in range(n)]
+    field = FIELD_LRAT if any(isinstance(x, LambdaRat) for x in values[:n ** 3]) else FIELD_C8
+    limit = StructureConstants(n, limit_alpha, limit_gamma, field)
+    try:
+        validate(limit)
+    except Exception as exc:
+        return Outcome(NOT_VERIFIED, "limit", f"limit point violates the defining equations: {exc}")
+    if failed is not None:
+        return Outcome(NOT_VERIFIED, "post-change", str(failed))
     if limit == expected:
         return Outcome(VERIFIED)
     for i in range(n):

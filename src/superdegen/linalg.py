@@ -231,13 +231,14 @@ def _int_rank(rows, cols):
 def int_poly_rank(rows, cols):
     """Rank over Q(l) of rows of int polynomials in l (coefficient lists,
     low degree first): the rank of the rows evaluated at l0 = H + 1 above
-    the root bound H of their minors (module docstring)."""
+    the root bound H of their minors (module docstring); a polynomial with
+    no nonzero coefficient is not evaluated."""
     polys = [p for row in rows for p in row]
     c = max((abs(x) for p in polys for x in p), default=0)
     d = max(map(len, polys), default=1) - 1
     k = min(len(rows), cols)
     l0 = factorial(k) * (d + 1) ** max(k - 1, 0) * c ** k + 1
-    return _int_rank([tuple(peval(p, l0, 0) for p in row) for row in rows], cols)
+    return _int_rank([tuple(peval(p, l0, 0) if any(p) else 0 for p in row) for row in rows], cols)
 
 
 def _poly_rank(polys, cols):

@@ -17,6 +17,8 @@ literal syntax of literals.py.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .cyclo import C8_ONE, C8_ZERO, Cyclo8
 
 ONE_POLY = (C8_ONE,)
@@ -86,16 +88,52 @@ def pgcd(a, b, zero) -> tuple:
 
     A nonzero constant operand makes the gcd 1 at once: most calls reduce a
     fraction over the denominator 1, and need neither a division nor the
-    inverse of a coefficient."""
+    inverse of a coefficient.  Over Q(z)(l), where the remainders' l-degrees
+    swell, the gcd is 1 when it is 1 at one value l0 of l (`_coprime_at`)."""
     a, b = pstrip(a), pstrip(b)
-    if len(a) == 1 or len(b) == 1:
+    if len(a) == 1 or len(b) == 1 or _coprime_at(a, b):
         return (zero + 1,)
+    return _euclid(a, b, zero)
+
+
+def _euclid(a, b, zero) -> tuple:
     while b:
         _, r = pdivmod(a, b, zero)
         a, b = b, r
     if not a:
         return ()
     return pscale(a, 1 / a[-1])
+
+
+def _at(p, l0):
+    """p with l := l0 in each coefficient; None if a denominator vanishes there."""
+    out = []
+    for c in p:
+        if isinstance(c, RatFunc):
+            den = peval(c.den, l0, C8_ZERO)
+            if not den:
+                return None
+            c = peval(c.num, l0, C8_ZERO) / den
+        out.append(c)
+    return out
+
+
+def _coprime_at(a, b) -> bool:
+    """Whether a and b, of degree 1 or more over Q(z)(l), are coprime by
+    Brown's specialisation test (W. S. Brown, JACM 18, 1971).  Cleared of
+    denominators, their primitive gcd G in Q(z)[l][t] has a leading
+    coefficient dividing both of theirs, so at an l0 where no denominator
+    and neither leading coefficient vanishes, G(l0) keeps its degree and
+    divides a(l0) and b(l0).  If those are coprime over Q(z), G is constant.
+    l0 runs 0, 1, 2, ..., the first such value is tried, and a nontrivial
+    gcd there leaves the answer to Euclid.  Coefficients in Q(z) alone give
+    False."""
+    if not any(isinstance(c, RatFunc) for c in a + b):
+        return False
+    for l0 in count():
+        sa, sb = _at(a, l0), _at(b, l0)
+        if sa is not None and sb is not None and sa[-1] and sb[-1]:
+            return len(_euclid(tuple(sa), pstrip(sb), C8_ZERO)) == 1
 
 
 def peval(a, x, zero):

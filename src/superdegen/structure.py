@@ -21,9 +21,12 @@ non-unital mode, it evaluates all of them, so a report of violations does not
 depend on the shortcut.
 
 The tensor loops visit only the nonzero structure constants
-(`StructureConstants.terms`); transport and the sigma check share one
-contraction, `_along`.  It and the equation loops run on field scalars and
-on Python ints alike: a scalar is zero exactly when it is false.
+(`StructureConstants.terms`).  Transport contracts them with `_along`.
+Family 5 is one pass over them and over the nonzero entries of gamma's
+columns and rows, summing E sigma(e_i e_j) - sigma(e_i) sigma(e_j) into
+one dict keyed (i, j, m) (E is 1 off the integer image, below).  All these
+loops run on field scalars and on Python ints alike: a scalar is zero
+exactly when it is false.
 
 Integer image.  A point over Q(z)(l) whose constants are polynomials in l
 with rational coefficients (the families, and what a g over Q makes of
@@ -127,31 +130,29 @@ def _add_scaled(acc, w, terms):
         acc[k] = acc[k] + x if k in acc else x
 
 
-def _along(t, mat, axis, idx=None):
+def _along(t, mat, axis):
     """Contract index `axis` of the 3-tensor t with the n x n matrix mat.
 
-    t[i][j] maps k to the nonzero t[i][j][k], and so does the result, in
-    which only the planes (i, j) with i and j in idx (default: all) are
-    filled.  On the input axes 0 and 1 the new index c sums
-    mat[p][c] * t[..p..], because column c of a basis change is the new e_c;
-    on the output axis 2 it sums mat[c][p] * t[i][j][p].
+    t[i][j] maps k to the nonzero t[i][j][k], and so does the result.  On
+    the input axes 0 and 1 the new index c sums mat[p][c] * t[..p..],
+    because column c of a basis change is the new e_c; on the output axis 2
+    it sums mat[c][p] * t[i][j][p].
     """
     n = len(mat)
-    idx = range(n) if idx is None else idx
     out = [[{} for _ in range(n)] for _ in range(n)]
     if axis == 2:
         weights = [[(c, mat[c][p]) for c in range(n) if mat[c][p]] for p in range(n)]
-        for i in idx:
-            for j in idx:
+        for i in range(n):
+            for j in range(n):
                 acc = out[i][j]
                 for p, v in t[i][j].items():
                     for c, w in weights[p]:
                         x = w * v
                         acc[c] = acc[c] + x if c in acc else x
     else:
-        weights = [[(c, mat[p][c]) for c in idx if mat[p][c]] for p in range(n)]
+        weights = [[(c, mat[p][c]) for c in range(n) if mat[p][c]] for p in range(n)]
         for p in range(n):
-            for q in idx:
+            for q in range(n):
                 for c, w in weights[p]:
                     if axis == 0:
                         _add_scaled(out[c][q], w, t[p][q])
@@ -228,13 +229,35 @@ def check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
                 for l, a in terms[j][k].items():
                     _add_scaled(res, -a, terms[i][l])
                 report[3].update((i + 1, j + 1, k + 1, m + 1) for m, v in res.items() if v)
-    # sigma multiplicative: sigma(e_i e_j) against sigma(e_i) sigma(e_j);
-    # the left side has one factor gamma = E * sigma fewer, so it is scaled by E
-    lhs = _along(terms, gamma if ge == 1 else [[ge * x for x in row] for row in gamma], 2, idx)
-    rhs = _along(_along(terms, gamma, 0), gamma, 1, idx)
+    # sigma multiplicative: E * sigma(e_i e_j) - sigma(e_i) sigma(e_j) in one
+    # dict keyed (i, j, m), from the nonzero products and the nonzero entries
+    # of gamma's columns and rows; the left side has one factor gamma =
+    # E * sigma fewer, so it is scaled by E.  The right side is summed as
+    # sum_k gamma[k][i] (e_k sigma(e_j)).
+    scaled = gamma if ge == 1 else [[ge * x for x in row] for row in gamma]
+    cols = [[(m, scaled[m][k]) for m in range(n) if gamma[m][k]] for k in range(n)]
+    rows = [[(i, gamma[k][i]) for i in idx if gamma[k][i]] for k in range(n)]
+    diff = {}
     for i in idx:
         for j in idx:
-            report[5].update((i + 1, j + 1, m + 1) for m in range(n) if lhs[i][j].get(m, z) - rhs[i][j].get(m, z))
+            for k, a in terms[i][j].items():
+                for m, w in cols[k]:
+                    key, x = (i, j, m), w * a
+                    diff[key] = diff[key] + x if key in diff else x
+    for k in range(n):
+        if not rows[k]:
+            continue
+        right = {}
+        for l in range(n):
+            for j, v in rows[l]:
+                for m, a in terms[k][l].items():
+                    key, x = (j, m), v * a
+                    right[key] = right[key] + x if key in right else x
+        for (j, m), y in right.items():
+            for i, w in rows[k]:
+                key, x = (i, j, m), w * y
+                diff[key] = diff[key] - x if key in diff else -x
+    report[5].update((i + 1, j + 1, m + 1) for (i, j, m), v in diff.items() if v)
     # sigma involutive
     for i in range(n):
         for k in range(n):

@@ -1,3 +1,5 @@
+import time
+
 from superdegen.catalog import CLOSED_ORBIT_LABEL
 from superdegen.certs import (NOT_VERIFIED, UNSUPPORTED, ObstructionCert,
                               SpecializationCert, cert_from_record, load_cert_file,
@@ -164,3 +166,16 @@ def test_nonhomogeneous_dimension2_vector():
                               curve=curve, post_change=None)
     out = verify_specialization(cert, None, source_sc=source, target_sc=target)
     assert out.verified
+
+
+def test_pole_with_an_l_dependent_pre_change_is_reported_in_time(catalog):
+    # reducing this pole's detail string ran the Euclidean gcd over
+    # Q(z)(l)[t] for more than 40 s; the specialisation test in pgcd ends it
+    rec = {"kind": "specialization", "source": "(18;l|2)", "target": "(16|1)",
+           "pre_change": ["1", "0", "0", "0", "0", "l", "1+l", "z", "0", "1/(1-l)", "1", "l", "0", "z", "0", "1+l"],
+           "curve": ["1", "0", "0", "0", "0", "1+t+2*t^2", "t-t^2", "3*t+t^2", "0", "2*t+t^2", "1-t+t^2", "t^2",
+                     "0", "t+3*t^2", "2+t", "t-2*t^2"]}
+    start = time.perf_counter()
+    out = verify_cert(cert_from_record(rec), catalog)
+    assert time.perf_counter() - start < 2
+    assert out.stage == "regularity" and out.detail.startswith("alpha[2][2][4] = ")

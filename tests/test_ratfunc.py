@@ -17,6 +17,7 @@ coefficient by coefficient and print the same.
 
 import math
 import operator
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -607,3 +608,76 @@ def test_products_print_as_with_the_reference_pmul(num, den, tnum, tden):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polys, "pmul", _reference_pmul)
         assert products() == got
+
+
+# ------------------------------------------------------------ gcd over Q(z)(l)
+
+def _reference_pgcd(a, b, zero):
+    """`polys.pgcd` before its specialisation test: the constant shortcut,
+    then the Euclidean remainder sequence."""
+    a, b = pstrip(a), pstrip(b)
+    if len(a) == 1 or len(b) == 1:
+        return (zero + 1,)
+    while b:
+        _, r = pdivmod(a, b, zero)
+        a, b = b, r
+    if not a:
+        return ()
+    return pscale(a, 1 / a[-1])
+
+
+def _assert_same_gcd(got, want):
+    assert len(got) == len(want) and all(x == y for x, y in zip(got, want)), (got, want)
+
+
+_L = LAMBDA
+_lcoeff = st.sampled_from([C8_ONE, -C8_ONE, Cyclo8(2), _L, -_L, 1 + _L, _L / (1 - _L), ZETA, 1 / (_L + 2),
+                           ZETA * _L - 1, Cyclo8(1) / 3])
+_tfactor = st.lists(_lcoeff, min_size=1, max_size=2).map(tuple)
+# t - l, t^2 + z*l, l*t + 1 (leading coefficient zero at l = 0), and none
+_planted = st.sampled_from([(-_L, C8_ONE), (ZETA * _L, C8_ZERO, C8_ONE), (C8_ONE, _L), (C8_ONE,)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_planted, _tfactor, _tfactor)
+def test_planted_common_factors_match_the_euclidean_pgcd(f, p, q):
+    a, b = pmul(f, p, C8_ZERO), pmul(f, q, C8_ZERO)
+    got = pgcd(a, b, C8_ZERO)
+    _assert_same_gcd(got, _reference_pgcd(a, b, C8_ZERO))
+    assert len(got) >= len(f)
+
+
+@pytest.mark.parametrize("a, b, degree", [
+    # the leading coefficient l vanishes at l0 = 0, where the gcd t + 1/l would drop to 1
+    (((C8_ONE, _L), (C8_ZERO, C8_ONE)), ((C8_ONE, _L), (C8_ONE, C8_ONE)), 1),
+    # a denominator vanishes at l0 = 0
+    (((1 / _L, C8_ONE), (-C8_ONE, C8_ONE)), ((1 / _L, C8_ONE), (Cyclo8(2), C8_ONE)), 1),
+    # coprime, but both are t at l0 = 0: Euclid decides
+    (((_L, C8_ONE),), ((2 * _L, C8_ONE),), 0),
+])
+def test_pinned_specialisations_match_the_euclidean_pgcd(a, b, degree):
+    a, b = (a[0] if len(a) == 1 else pmul(*a, C8_ZERO)), (b[0] if len(b) == 1 else pmul(*b, C8_ZERO))
+    got = pgcd(a, b, C8_ZERO)
+    _assert_same_gcd(got, _reference_pgcd(a, b, C8_ZERO))
+    assert len(got) - 1 == degree
+
+
+def test_the_product_that_hung_finishes():
+    # the product of two t-fractions over Q(z)(l) whose reduction ran the
+    # Euclidean remainder sequence for more than 25 s
+    from superdegen.literals import parse_scalar
+    a, b, c, d, e = (parse_scalar(x) for x in ("(1+l)/(2-z*l)", "(3*l-1)/(l+z)", "l/(1-l)", "(2+z*l)/(l-3)",
+                                                "(1-2*l)/(l+2)"))
+    t = T_VAR
+    start = time.perf_counter()
+    product = (a * t ** 2 + b * t + c) / (d * t + e) * ((c * t ** 2 + a * t + d) / (b * t + e))
+    assert time.perf_counter() - start < 2
+    assert len(product.num) == 5 and len(product.den) == 3
+    # at l = 5 it is the same product of t-fractions over Q(z)
+    five = Cyclo8(5)
+    a, b, c, d, e = (x.substitute(five) for x in (a, b, c, d, e))
+
+    def at_five(p):
+        return tuple(x.substitute(five) if isinstance(x, LambdaRat) else x for x in p)
+    assert TRat(at_five(product.num), at_five(product.den)) == \
+        (a * t ** 2 + b * t + c) / (d * t + e) * ((c * t ** 2 + a * t + d) / (b * t + e))

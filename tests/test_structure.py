@@ -1,13 +1,15 @@
+import importlib
 import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdegen import structure
+from superdegen import certs, structure
 from superdegen.catalog import FORBIDDEN_LAMBDA
 from superdegen.certs import (NOT_VERIFIED, VERIFIED, Outcome, SpecializationCert, _lift_matrix_to_trat, _lowest,
                               _sc_over_trat, load_cert_file, scaling_cert, verify_cert)
@@ -398,6 +400,77 @@ def test_multiply_matches_the_dense_formula(catalog):
             assert list(sc.multiply(x, y)) == dense
 
 
+# ------------------------------------------ family 5 against the _along formula
+
+def _reference_family5(sc, unital=True):
+    """Family 5 as the three `_along` tensors the one-pass check replaced:
+    E * sigma(e_i e_j) and sigma(e_i) sigma(e_j), compared plane by plane
+    on the indices `check_axioms` evaluates."""
+    report = check_axioms(sc, unital)
+    terms, gamma, _, ge, z = structure._point(sc)
+    n = sc.n
+    idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
+    lhs = structure._along(terms, [[ge * x for x in row] for row in gamma], 2)
+    rhs = structure._along(structure._along(terms, gamma, 0), gamma, 1)
+    return tuple(sorted((i + 1, j + 1, m + 1) for i in idx for j in idx for m in range(n)
+                        if lhs[i][j].get(m, z) - rhs[i][j].get(m, z)))
+
+
+def _assert_family5_agrees(sc):
+    for unital in (True, False):
+        assert check_axioms(sc, unital)[5] == _reference_family5(sc, unital)
+
+
+def _benchmark_points(catalog, workload, seed):
+    """The points of one pass of a perfbench fuzz workload (its own input
+    generator), moved without revalidation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        points = importlib.import_module("inputs").fuzz_points(workload, seed)
+    out = []
+    for point in points:
+        sc = catalog.entry(point["label"]).sc
+        out.append(transport(Matrix.from_rows(point["g"], sc.field), sc, revalidate=False))
+    return out
+
+
+def test_family5_matches_the_along_formula_on_entries_and_fuzz_points(catalog):
+    # every entry, and one pass of each fuzz workload on seeds 101 and 7:
+    # the family points lie on the integer image with E > 1 after an integer g
+    points = [catalog.entry(label).sc for label in catalog.labels()]
+    for workload in ("fuzz-fixed", "fuzz-family"):
+        for seed in (101, 7):
+            points += _benchmark_points(catalog, workload, seed)
+    with _paths() as ran:
+        for sc in points:
+            _assert_family5_agrees(sc)
+    assert ran["ints"] >= 2 * 2 * 60 and ran["scalars"] >= 2 * 2 * 116
+    assert any(structure._point(sc)[3] != 1 for sc in points if structure._image(sc) is not None)
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_family5_matches_the_along_formula_on_perturbed_points(catalog, place):
+    rng = random.Random(1701 + sorted(_PLACES).index(place))
+    for label in ("(18;l|0)", "(18;l|2)", "(7|2)", "(10|1)", "(13|1)"):
+        sc = catalog.entry(label).sc
+        for point in (sc, transport(random_group_element(rng, 4, sc.field), sc, revalidate=False),
+                      transport(_rational_group_element(rng, sc.field), sc, revalidate=False)):
+            which, index = _PLACES[place](rng.randint)
+            for delta in (Cyclo8(1), Cyclo8(-2, 1), _falling(1) if sc.field is FIELD_LRAT else Cyclo8(1, 0, 3)):
+                _assert_family5_agrees(_perturbed(point, which, index, delta))
+
+
+def test_family5_matches_the_along_formula_with_z_parts(catalog):
+    # a z-part in g moves the point over its field; the family point then
+    # has z-parts in Q(z)(l), the fixed one in Q(z)
+    for label in ("(18;l|1)", "(7|2)", "(16|1)"):
+        sc = catalog.entry(label).sc
+        g = _unipotent([(1, 2, ZETA), (0, 3, 1), (3, 1, 1 - ZETA)], sc.field)
+        moved = transport(g, sc, revalidate=False)
+        _assert_family5_agrees(moved)
+        _assert_family5_agrees(_perturbed(moved, "gamma", (1, 2), ZETA))
+
+
 # --------------------- the integer image, the adjugate, and their references
 
 L = LAMBDA
@@ -406,10 +479,11 @@ L = LAMBDA
 @contextmanager
 def _paths():
     """Counts the transports taken on the integer image ("image") and over
-    the field ("field"), and the equation checks run on the image ("ints")
-    and over the field ("scalars")."""
+    the field ("field"), the equation checks run on the image ("ints") and
+    over the field ("scalars"), and the certificates whose stage (ii) runs
+    on the t-image ("t-ints") and over Q(z)(l)(t) ("t-field")."""
     ran = Counter()
-    real_transport, real_point = structure._transport_image, structure._point
+    real_transport, real_point, real_t_image = structure._transport_image, structure._point, certs._t_image
 
     def transport_spy(g, sc, field):
         out = real_transport(g, sc, field)
@@ -421,9 +495,15 @@ def _paths():
         ran["ints" if type(out[-1]) is int else "scalars"] += 1
         return out
 
+    def t_image_spy(cert, sc):
+        out = real_t_image(cert, sc)
+        ran["t-field" if out is None else "t-ints"] += 1
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "_transport_image", transport_spy)
         mp.setattr(structure, "_point", point_spy)
+        mp.setattr(certs, "_t_image", t_image_spy)
         yield ran
 
 
@@ -705,3 +785,114 @@ def test_outcomes_and_detail_strings_match_reference(catalog):
             assert str(outcome) == str(_reference_verify_specialization(bent, catalog))
             stages[outcome.stage] += 1
     assert stages["regularity"] >= 30 and stages["limit-mismatch"] >= 80, stages
+
+
+# --------------------------------------- certificates on the t-image in ints
+
+def _assert_t_image_matches_reference(cert, src):
+    """Every transported constant read on the t-image of cert has the
+    valuation and the limit (value, type and print) that the numerators over
+    Q(z)(l)(t) give, and its decoded quotient is that constant."""
+    b, nums, gnums, det, ascale, gscale = certs._t_image(cert, src)
+    curve = cert.curve
+    if cert.pre_change is not None:
+        curve = _lift_matrix_to_trat(cert.pre_change, None) * curve
+    ref_nums, ref_gnums, ref_det = moved_numerators(curve, _sc_over_trat(src, None), FIELD_TRAT)
+    k, low = certs._int_order(b, det), certs._int_lowest(b, det)
+    assert k == ref_det.order_at_zero()
+    n = src.n
+    pairs = [(nums[i][j].get(c, 0), ref_nums[i][j].get(c, TRat.coerce(0)), ascale)
+             for i in range(n) for j in range(n) for c in range(n)]
+    pairs += [(gnums[r][c], ref_gnums[r][c], gscale) for r in range(n) for c in range(n)]
+    for v, ref, scale in pairs:
+        assert bool(v) == bool(ref)
+        if not v:
+            continue
+        assert certs._int_order(b, v) - k == ref.order_at_zero() - k
+        assert certs._decoded(b, v) / (certs._decoded(b, det) * scale) == ref / ref_det
+        if certs._int_order(b, v) == k:
+            value, want = certs._int_lowest(b, v) / (low * scale), _lowest(ref) / _lowest(ref_det)
+            assert (value, type(value), str(value)) == (want, type(want), str(want))
+
+
+def test_t_image_gives_the_reference_valuations_and_limits(catalog):
+    # 93 of the 104 certificates run on ints; the 11 others have z-parts
+    # (2), an l-dependent pre-change (1), a substituted parameter (5) or a
+    # family source (3 scaling certificates)
+    with _paths() as ran:
+        for cert in _specialization_certs(catalog):
+            assert verify_cert(cert, catalog).verified
+    assert (ran["t-ints"], ran["t-field"]) == (93, 11)
+    for cert in _specialization_certs(catalog):
+        src = catalog.entry(cert.source).sc
+        if certs._t_image(cert, src) is not None:
+            _assert_t_image_matches_reference(cert, src)
+
+
+def test_t_image_bound_is_reached_by_a_pinned_curve():
+    # n = 2, every structure constant +-1 (m = 1) and the constant curve
+    # [[1, 999], [0, 1000]] (e = 1, c = 1000): N[2][2][1] sums the 8 signed
+    # products 1999^2 * 1999, within a factor 1.002 of H = 8 * 1000^3, so
+    # its signed digit needs 2^(b-1) > H
+    point = StructureConstants(2, [[[1, -1], [1, -1]], [[1, -1], [1, -1]]], [[1, 0], [0, -1]], FIELD_C8)
+    curve = Matrix.from_rows([[1, 999], [0, 1000]], FIELD_TRAT)
+    cert = SpecializationCert("src", "tgt", None, curve, None)
+    b, nums, *_ = certs._t_image(cert, point)
+    assert nums[1][1][0] == 1999 ** 3 and 2 ** (b - 2) < 8 * 1000 ** 3 < 2 ** (b - 1)
+    _assert_t_image_matches_reference(cert, point)
+    for t_power in (1, 2):
+        bent = Matrix.from_rows([[1, 999 * T_VAR ** t_power], [0, 1000 * T_VAR ** t_power]], FIELD_TRAT)
+        _assert_t_image_matches_reference(SpecializationCert("src", "tgt", None, bent, None), point)
+
+
+def test_signed_digits_at_the_edge():
+    # coefficients of size 2^(b-1) - 1, of either sign, around zero digits
+    b = 12
+    top = 2 ** (b - 1) - 1
+    for coeffs in ([0, 0, top, -top, 0, -1], [-top, 0, 0, top], [0, 1, -top, top, -top]):
+        v = sum(c << b * k for k, c in enumerate(coeffs))
+        o = next(k for k, c in enumerate(coeffs) if c)
+        assert certs._int_order(b, v) == o and certs._int_lowest(b, v) == coeffs[o]
+        assert certs._decoded(b, v) == TRat([Cyclo8(c) for c in coeffs])
+
+
+def test_an_unvalidated_target_equal_to_the_limit_is_checked(catalog):
+    # the identity curve on a point that breaks associativity: the limit is
+    # that point, and so is the target passed in unvalidated, so the limit's
+    # equations are checked before the match
+    bad = _perturbed(catalog.get("(1|0)"), "alpha", (1, 1, 0), Cyclo8(1))
+    target = StructureConstants(4, bad.alpha, bad.gamma, FIELD_C8)
+    cert = SpecializationCert("src", "tgt", None, Matrix.identity(4, FIELD_TRAT), None)
+    out = certs.verify_specialization(cert, None, source_sc=bad, target_sc=target)
+    assert (out.status, out.stage) == (NOT_VERIFIED, "limit")
+    good = catalog.get("(1|0)")
+    out = certs.verify_specialization(cert, None, source_sc=good,
+                                      target_sc=StructureConstants(4, good.alpha, good.gamma, FIELD_C8))
+    assert out == Outcome(VERIFIED)
+
+
+def test_a_failed_post_change_keeps_the_stage_order(catalog):
+    # a singular post-change: "post-change" for a valid limit, "limit" for
+    # an invalid one, whose check comes first
+    singular = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], FIELD_C8)
+    cert = SpecializationCert("(10|1)", "(10|1)", None, Matrix.identity(4, FIELD_TRAT), singular)
+    out = verify_cert(cert, catalog)
+    assert (out.stage, out.detail) == ("post-change", "matrix is singular")
+    bad = _perturbed(catalog.get("(10|1)"), "alpha", (1, 1, 0), Cyclo8(1))
+    out = certs.verify_specialization(cert, catalog, source_sc=bad)
+    assert out.stage == "limit"
+
+
+def test_a_singular_curve_or_pre_change_keeps_the_stage_order(catalog):
+    # det G(t0) = 0 on the t-image: the curve's own determinant then decides
+    # between the curve and the pre-change, as before
+    singular = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], FIELD_C8)
+    flat = Matrix.from_rows([[1, 0, 0, 0], [0, T_VAR, 0, 0], [0, T_VAR, 0, 0], [0, 0, 0, 1]], FIELD_TRAT)
+    for pre, curve, stage, detail in (
+            (None, flat, "curve-not-generic", "det of the basis curve vanishes identically"),
+            (singular, flat, "curve-not-generic", "det of the basis curve vanishes identically"),
+            (singular, Matrix.identity(4, FIELD_TRAT), "pre-change", "matrix is singular")):
+        cert = SpecializationCert("(7|1)", "(8|1)", pre, curve, None)
+        with _paths() as ran:
+            out = verify_cert(cert, catalog)
+        assert (out.stage, out.detail, ran["t-ints"]) == (stage, detail, 1)
