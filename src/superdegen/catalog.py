@@ -15,7 +15,7 @@ A bad literal fails at its first occurrence, so the error names that one.
 
 The same dict keeps one grading split per distinct (field, gamma literals),
 six for the 61 default entries.  Each entry keeps its split, and computes
-its stabilizer dimension once, on first use.
+its stabilizer dimension and its table of closed sets once, on first use.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from importlib import resources
 
 from .cyclo import Cyclo8
-from .invariants import fingerprint, stabilizer_dim
+from .invariants import closed_set_member, fingerprint, stabilizer_dim
 from .linalg import FIELD_C8, FIELD_LRAT, Matrix
 from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat, scalar_substitute
@@ -87,6 +87,10 @@ class CatalogEntry:
     @property
     def orbit_dim(self) -> int:
         return self.n * self.n - self.n - self.stab_dim
+
+    @cached_property
+    def closed_sets(self) -> dict:
+        return closed_set_member(self.sc, self.split)
 
 
 def _parse_in(field, literal, where, parsed):

@@ -55,6 +55,9 @@ An obstruction certificate claims a NON-degeneration by one of the methods:
   A..E  a closed transport-stable set contains the source but not the target
   DIM0  the even-part dimensions differ
   UNDERLYING  the underlying algebras do not degenerate (external table)
+`separates` decides OD and A..E, here and for the pairs the graph
+resolves on the fly; the closed sets are read from each catalog entry's
+table, built once (`CatalogEntry.closed_sets`).
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ from functools import partial
 from importlib import resources
 from math import factorial
 
-from .catalog import FORBIDDEN_LAMBDA, Catalog, UnknownLabel
-from .invariants import closed_set_member
+from .catalog import FORBIDDEN_LAMBDA, Catalog, CatalogEntry, UnknownLabel
+from .invariants import WrongComponent
 from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, adjugate, integer_polys
 from .cyclo import C8_ZERO, Cyclo8
 from .literals import ParseError, parse_scalar
@@ -336,11 +339,18 @@ def scaling_cert(label: str, catalog: Catalog) -> SpecializationCert:
     )
 
 
-def od_blocks(d_src: int, d_tgt: int, family: bool) -> bool:
-    """Whether orbit dimensions d_src -> d_tgt rule out a degeneration.
-    A one-parameter family may degenerate onto an orbit of the same
-    dimension as its members, so a family source needs a strict drop."""
-    return d_src < d_tgt if family else d_src <= d_tgt
+def separates(method: str, src: CatalogEntry, tgt: CatalogEntry) -> bool:
+    """Whether `method` rules out a degeneration src -> tgt of one component.
+    OD: the orbit dimension does not drop; a one-parameter family may
+    degenerate onto an orbit of the same dimension as its members, so a
+    family source needs a strict drop.  A..E: the closed set holds the
+    source and not the target (the entries' tables, `closed_sets`)."""
+    if method == "OD":
+        d_src, d_tgt = src.orbit_dim, tgt.orbit_dim
+        return d_src < d_tgt if src.parametric else d_src <= d_tgt
+    if method not in src.closed_sets:
+        raise WrongComponent(f"set ({method}) is defined on the component with a 2-dimensional even part")
+    return src.closed_sets[method] and not tgt.closed_sets[method]
 
 
 def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None) -> Outcome:
@@ -367,19 +377,17 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
     if cert.method == "OD":
         if cert.source == cert.target:
             return Outcome(NOT_VERIFIED, "orbit-dim", "trivial pair")
-        d_src, d_tgt = src_entry.orbit_dim, tgt_entry.orbit_dim
-        if od_blocks(d_src, d_tgt, src_entry.parametric):
+        if separates("OD", src_entry, tgt_entry):
             return Outcome(VERIFIED)
+        d_src, d_tgt = src_entry.orbit_dim, tgt_entry.orbit_dim
         return Outcome(NOT_VERIFIED, "orbit-dim",
                        f"orbit dimensions {d_src} -> {d_tgt} leave room for a degeneration")
-    # closed-set methods
     try:
-        in_src = closed_set_member(src_entry.sc, cert.method, src_entry.split)
-        in_tgt = closed_set_member(tgt_entry.sc, cert.method, tgt_entry.split)
+        if separates(cert.method, src_entry, tgt_entry):
+            return Outcome(VERIFIED)
+        in_src, in_tgt = src_entry.closed_sets[cert.method], tgt_entry.closed_sets[cert.method]
     except Exception as exc:
         return Outcome(NOT_VERIFIED, "closed-set", str(exc))
-    if in_src and not in_tgt:
-        return Outcome(VERIFIED)
     return Outcome(NOT_VERIFIED, "closed-set",
                    f"set ({cert.method}) contains source={in_src}, target={in_tgt}; no separation")
 

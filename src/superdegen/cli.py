@@ -35,12 +35,10 @@ def _load(args) -> Catalog:
 
 def cmd_verify_catalog(args) -> reports.RunReport:
     rep = reports.RunReport("verify-catalog")
-    t0 = time.time()
     try:
         catalog = _load(args)
     except CatalogError as exc:
         rep.add("load", reports.FAIL, str(exc))
-        rep.elapsed = time.time() - t0
         return rep
     rep.add("load", reports.PASS, f"{len(catalog)} entries validated")
     for label in sorted(catalog.labels()):
@@ -62,7 +60,6 @@ def cmd_verify_catalog(args) -> reports.RunReport:
     bad = catalog.check_alpha_blocks()
     rep.add("alpha blocks vs family references", reports.FAIL if bad else reports.PASS,
             ", ".join(bad) if bad else "all recorded base changes reproduce the alpha blocks")
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -78,7 +75,6 @@ def _table_cells(catalog: Catalog, kind: str):
 
 def cmd_tables(args) -> reports.RunReport:
     rep = reports.RunReport(f"tables-{args.kind}")
-    t0 = time.time()
     catalog = _load(args)
     cells = _table_cells(catalog, args.kind)
     title = "Stabilizer dimensions" if args.kind == "stab" else "Orbit dimensions"
@@ -99,13 +95,11 @@ def cmd_tables(args) -> reports.RunReport:
         mismatches = [f"({fam}|{j}): computed {cells[fam, j][0]} declared {cells[fam, j][1]}"
                       for j in range(4) if (fam, j) in cells and cells[fam, j][0] != cells[fam, j][1]]
         rep.add(f"({fam}|.)", reports.PASS if ok else reports.FAIL, "; ".join(mismatches))
-    rep.elapsed = time.time() - t0
     return rep
 
 
 def cmd_check(args) -> reports.RunReport:
     rep = reports.RunReport("check")
-    t0 = time.time()
     catalog = _load(args)
     for path in args.certfiles:
         try:
@@ -125,7 +119,6 @@ def cmd_check(args) -> reports.RunReport:
                 rep.add(name, reports.UNDETERMINED, f"{outcome} (recorded verdict)")
             else:
                 rep.add(name, reports.FAIL, str(outcome))
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -138,7 +131,6 @@ def _diagram_text(args) -> str:
 
 def cmd_diagram(args) -> reports.RunReport:
     rep = reports.RunReport("diagram")
-    t0 = time.time()
     if args.out:
         # opened before the graph is built, so a bad path fails at once
         try:
@@ -151,13 +143,11 @@ def cmd_diagram(args) -> reports.RunReport:
     else:
         sys.stdout.write(_diagram_text(args))
         rep.add(f"component {args.component}", reports.PASS, f"{args.format} on stdout")
-    rep.elapsed = time.time() - t0
     return rep
 
 
 def cmd_fingerprint(args) -> reports.RunReport:
     rep = reports.RunReport("fingerprint")
-    t0 = time.time()
     catalog = _load(args)
     sc = catalog.get(args.label, getattr(args, "lam", None))
     fp = fingerprint(sc)
@@ -177,19 +167,16 @@ def cmd_fingerprint(args) -> reports.RunReport:
         "dim_radical": fp.dim_radical,
     }, indent=1))
     rep.add(args.label, reports.PASS, "fingerprint printed")
-    rep.elapsed = time.time() - t0
     return rep
 
 
 def cmd_generic(args) -> reports.RunReport:
     rep = reports.RunReport("generic")
-    t0 = time.time()
     catalog = _load(args)
     graph = load_default_graph(catalog)
     for label, flag in generic_structures(graph, args.component):
         status = reports.UNDETERMINED if flag == "undetermined" else reports.PASS
         rep.add(label, status, flag)
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -232,11 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
         rep = args.fn(args)
     except (CatalogError, AxiomError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    rep.elapsed = time.time() - t0
     out = rep.to_json(args.timing) + "\n" if args.json else rep.to_text(args.timing)
     sys.stdout.write(out)
     return rep.exit_code

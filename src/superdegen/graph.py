@@ -1,16 +1,19 @@
 """Assembly and analysis of the degeneration graph.
 
-Nodes are the catalog's orbits and one-parameter families; edges are the
-verified degenerations (direct specializations, family limits, the universal
-scaling specializations onto each component's closed orbit, and the
-transitive closure).  Verified obstructions are cross-checked against the
-edge set; a pair that is both degeneration and obstruction aborts assembly.
+Nodes are the catalog entries, orbits and one-parameter families; edges are
+the verified degenerations (direct specializations, family limits, the
+universal scaling specializations onto each component's closed orbit, and
+the transitive closure).  Verified obstructions are cross-checked against
+the edge set; a pair that is both degeneration and obstruction aborts
+assembly.
 
-Beyond the shipped certificates, pairs are auto-resolved with the same
-obstruction methods evaluated on the fly (orbit dimensions and the closed
-sets); what remains is reported as either pre-registered undetermined pairs
-or pairs whose resolution the classification delegates to external
-algebra-level data.
+Beyond the shipped certificates, pairs are auto-resolved by the rule the
+obstruction certificates use, `certs.separates`: orbit dimensions first,
+then the closed sets of the source's table in the order A..E.  Each entry
+builds its table once (`CatalogEntry.closed_sets`), so the certificates and
+the graph share it.  What remains is reported as either pre-registered
+undetermined pairs or pairs whose resolution the classification delegates
+to external algebra-level data.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .catalog import Catalog
-from .certs import VERIFIED, load_cert_file, od_blocks, scaling_cert, verify_cert
-from .invariants import closed_set_member
+from .catalog import Catalog, CatalogEntry
+from .certs import VERIFIED, load_cert_file, scaling_cert, separates, verify_cert
 
 
 class ContradictionFound(Exception):
@@ -47,23 +49,19 @@ EDGE_ORDER = {"specialization": 0, "family-limit": 1, "scaling": 2, "transitive"
 
 
 @dataclass
-class Node:
-    label: str
-    component: int
-    orbit_dim: int
-    is_family: bool
-
-
-@dataclass
 class DegenerationGraph:
     catalog: Catalog
-    nodes: dict
     edges: dict              # (src, tgt) -> tag
     obstructed: dict         # (src, tgt) -> evidence string
     undetermined: list       # pre-registered open pairs (src, tgt)
     external: list           # unresolved pairs deferred to algebra-level data
     contradictions: list
     generic_flags: dict = field(default_factory=dict)
+
+    @property
+    def nodes(self):
+        """label -> catalog entry"""
+        return self.catalog.entries
 
     def component_nodes(self, component):
         return sorted(l for l, nd in self.nodes.items() if nd.component == component)
@@ -86,33 +84,18 @@ def load_undetermined():
     return [(p["source"], p["target"]) for p in data["pairs"]]
 
 
-def _auto_obstruction(src_label, tgt_label, info):
-    """First on-the-fly method separating the pair, or None."""
-    s, t = info[src_label], info[tgt_label]
-    if od_blocks(s["orbit"], t["orbit"], s["family"]):
+def _auto_obstruction(src: CatalogEntry, tgt: CatalogEntry):
+    """First on-the-fly method separating the pair (OD, then the closed sets
+    of the source's table in the order A..E), or None."""
+    if separates("OD", src, tgt):
         return "OD"
-    for m in ("A", "B", "C", "D", "E"):
-        sm, tm = s["sets"].get(m), t["sets"].get(m)
-        if sm is True and tm is False:
-            return m
-    return None
+    return next((m for m in src.closed_sets if separates(m, src, tgt)), None)
 
 
 def build_graph(catalog: Catalog, specs, family_limits, obstructions,
                 undetermined_pairs, underlying=None) -> DegenerationGraph:
     """Assemble the graph from certificates.  Every certificate is verified
     here; one that fails although its record expects success is rejected."""
-    info = {}
-    nodes = {}
-    for e in catalog.entries.values():
-        nd = Node(e.label, e.component, e.orbit_dim, e.parametric)
-        nodes[e.label] = nd
-        sets = {"A": closed_set_member(e.sc, "A", e.split), "B": closed_set_member(e.sc, "B", e.split)}
-        if e.component == 2:
-            for m in ("C", "D", "E"):
-                sets[m] = closed_set_member(e.sc, m, e.split)
-        info[e.label] = {"orbit": nd.orbit_dim, "family": e.parametric, "sets": sets}
-
     edges = {}
 
     def add_edge(s, t, tag):
@@ -162,17 +145,16 @@ def build_graph(catalog: Catalog, specs, family_limits, obstructions,
 
     registered = set(undetermined_pairs)
     undetermined, external = [], []
-    for s, nd_s in nodes.items():
-        for t, nd_t in nodes.items():
+    for s, nd_s in catalog.entries.items():
+        for t, nd_t in catalog.entries.items():
             if s == t or nd_s.component != nd_t.component:
                 continue
             if (s, t) in edges or (s, t) in obstructed:
                 continue
-            m = _auto_obstruction(s, t, info)
+            m = _auto_obstruction(nd_s, nd_t)
             if m is not None:
                 obstructed[(s, t)] = f"auto ({m})"
-            elif underlying is not None and underlying.get((catalog.entry(s).family,
-                                                            catalog.entry(t).family)):
+            elif underlying is not None and underlying.get((nd_s.family, nd_t.family)):
                 obstructed[(s, t)] = "underlying table"
             elif (s, t) in registered:
                 undetermined.append((s, t))
@@ -181,7 +163,6 @@ def build_graph(catalog: Catalog, specs, family_limits, obstructions,
 
     graph = DegenerationGraph(
         catalog=catalog,
-        nodes=nodes,
         edges=edges,
         obstructed=obstructed,
         undetermined=sorted(undetermined),
@@ -262,7 +243,7 @@ def dot_diagram(graph: DegenerationGraph, component: int) -> str:
         lines.append(f"  {{ rank=same; {members} }}")
     for l in nodes:
         nd = graph.nodes[l]
-        shape = "ellipse" if not nd.is_family else "box"
+        shape = "ellipse" if not nd.parametric else "box"
         lines.append(f'  "{l}" [shape={shape}, label="{l}\\ndim {nd.orbit_dim}"];')
     for (s, t) in _display_edges(graph, component):
         tag = graph.edges[(s, t)]
@@ -279,7 +260,7 @@ def json_diagram(graph: DegenerationGraph, component: int, underlying=None) -> d
     nodes = []
     for l in graph.component_nodes(component):
         nd = graph.nodes[l]
-        nodes.append({"label": l, "orbit_dim": nd.orbit_dim, "family": nd.is_family})
+        nodes.append({"label": l, "orbit_dim": nd.orbit_dim, "family": nd.parametric})
     edges = [{"source": s, "target": t, "kind": tag}
              for (s, t, tag) in graph.component_edges(component)]
     out = {

@@ -22,6 +22,11 @@ linear in alpha and gamma, so the slices' rows, zipped into int
 polynomials, are the rows times D (products) or E (graded), which keeps the
 rank.  `linalg.int_poly_rank` ranks them at one point above their root
 bound, with no LambdaRat row built.
+
+The closed, transport-stable sets A..E are decided in one pass over a
+point (`closed_set_member`): its table holds A and B, and C, D and E when
+dim A_0 = 2, with J(A_0) solved once.  The fingerprint reads its flags and
+dim J = int(C) from that table.
 """
 
 from __future__ import annotations
@@ -200,46 +205,30 @@ def square_zero_subspace_dim2(sc: StructureConstants, basis0):
     return [line]
 
 
-CLOSED_SETS = ("A", "B", "C", "D", "E")
+def _nonzero(vector) -> bool:
+    return any(not c.is_zero() for c in vector)
 
 
-def closed_set_member(sc: StructureConstants, name: str, split=None) -> bool:
-    """Membership in one of the closed, transport-stable subsets:
+def closed_set_member(sc: StructureConstants, split=None) -> dict:
+    """The point's table of the closed, transport-stable sets: set name ->
+    whether the point lies in it, in the order A, B, C, D, E.
 
     A: the odd part squares to zero.       B: the even part is commutative.
-    C: dim J(A_0) = 1 (even part of dimension 2 only); J is the square-zero
-       subspace of A_0.
+    On the component with a 2-dimensional even part only:
+    C: dim J(A_0) = 1; J is the square-zero subspace of A_0.
     D: C and J(A_0) * A_1 = 0.             E: C and A_1 * J(A_0) = 0.
     """
-    if name not in CLOSED_SETS:
-        raise ValueError(f"unknown closed set {name!r}")
     split = split or grading_split(sc)
-    if name == "A":
-        for u in split.basis1:
-            for v in split.basis1:
-                if any(not c.is_zero() for c in sc.multiply(u, v)):
-                    return False
-        return True
-    if name == "B":
-        for u in split.basis0:
-            for v in split.basis0:
-                uv = sc.multiply(u, v)
-                vu = sc.multiply(v, u)
-                if any(not (a - b).is_zero() for a, b in zip(uv, vu)):
-                    return False
-        return True
-    if split.dim0 != 2:
-        raise WrongComponent(f"set ({name}) is defined on the component with a 2-dimensional even part")
-    j = square_zero_subspace_dim2(sc, split.basis0)
-    if len(j) != 1:
-        return False
-    if name == "C":
-        return True
-    for w in split.basis1:
-        prod = sc.multiply(j[0], w) if name == "D" else sc.multiply(w, j[0])
-        if any(not c.is_zero() for c in prod):
-            return False
-    return True
+    even, odd = split.basis0, split.basis1
+    table = {"A": not any(_nonzero(sc.multiply(u, v)) for u in odd for v in odd),
+             "B": not any(_nonzero(a - b for a, b in zip(sc.multiply(u, v), sc.multiply(v, u)))
+                          for p, u in enumerate(even) for v in even[p + 1:])}
+    if split.dim0 == 2:
+        j = square_zero_subspace_dim2(sc, even)
+        table["C"] = len(j) == 1
+        table["D"] = table["C"] and not any(_nonzero(sc.multiply(j[0], w)) for w in odd)
+        table["E"] = table["C"] and not any(_nonzero(sc.multiply(w, j[0])) for w in odd)
+    return table
 
 
 @dataclass(frozen=True)
@@ -262,16 +251,9 @@ class Fingerprint:
 def fingerprint(sc: StructureConstants) -> Fingerprint:
     split = grading_split(sc)
     stab = stabilizer_dim(sc)
-    flag_a = closed_set_member(sc, "A", split)
-    flag_b = closed_set_member(sc, "B", split)
-    if split.dim0 == 2:
-        dim_j = len(square_zero_subspace_dim2(sc, split.basis0))
-        flag_d = closed_set_member(sc, "D", split)
-        flag_e = closed_set_member(sc, "E", split)
-    else:
-        dim_j = flag_d = flag_e = None
+    sets = closed_set_member(sc, split)
     products = [sc.multiply(u, v) for u in split.basis1 for v in split.basis1]
-    dim_odd_square = _span_rank(sc, [p for p in products if any(not c.is_zero() for c in p)])
+    dim_odd_square = _span_rank(sc, [p for p in products if _nonzero(p)])
     n = sc.n
     full = [tuple(sc.field.one if k == i else sc.field.zero for k in range(n)) for i in range(n)]
     dim_radical = len(radical_basis(sc, full))
@@ -280,11 +262,11 @@ def fingerprint(sc: StructureConstants) -> Fingerprint:
         dim0=split.dim0,
         stab_dim=stab,
         orbit_dim=n * n - n - stab,
-        flag_a=flag_a,
-        flag_b=flag_b,
-        dim_j=dim_j,
-        flag_d=flag_d,
-        flag_e=flag_e,
+        flag_a=sets["A"],
+        flag_b=sets["B"],
+        dim_j=int(sets["C"]) if "C" in sets else None,
+        flag_d=sets.get("D"),
+        flag_e=sets.get("E"),
         dim_odd_square=dim_odd_square,
         dim_radical=dim_radical,
     )

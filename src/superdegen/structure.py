@@ -364,9 +364,10 @@ def moved_numerators(g: Matrix, sc: StructureConstants, field, divide=False):
     return _moved(terms, gamma, lam, adj, field.zero) + (det,)
 
 
-def _transport_image(g, sc, field):
+def _transport_image(g, sc):
     """`transport` of a point with an integer image by a g over Q, on ints
     (module docstring): (alpha, gamma), or None for any other point or g."""
+    field = sc.field
     if field is not FIELD_LRAT:
         return None
     consts = [x.num if len(x.num) < 2 and len(x.den) == 1 else None for x in map(field.lift, g.entries)]
@@ -390,13 +391,13 @@ def _transport_image(g, sc, field):
             [[scalar([c[r][col] for _, c in slices], det * eden) for col in range(n)] for r in range(n)])
 
 
-def transport(g: Matrix, sc: StructureConstants, field=None, revalidate=True) -> StructureConstants:
+def transport(g: Matrix, sc: StructureConstants, revalidate=True) -> StructureConstants:
     """Structure constants in the new basis whose vectors are the columns of
     g, by the adjugate (module docstring)."""
-    field = field or sc.field
+    field = sc.field
     _fixes_unit(g)  # det(g) = 0 is caught where the adjugate is taken
     n = sc.n
-    moved = _transport_image(g, sc, field)
+    moved = _transport_image(g, sc)
     if moved is not None:
         alpha, gamma = moved
     else:

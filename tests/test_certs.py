@@ -1,7 +1,8 @@
 import time
 
-from superdegen.catalog import CLOSED_ORBIT_LABEL
-from superdegen.certs import (NOT_VERIFIED, UNSUPPORTED, ObstructionCert,
+import superdegen.catalog as catalog_module
+from superdegen.catalog import CLOSED_ORBIT_LABEL, load_catalog
+from superdegen.certs import (NOT_VERIFIED, UNSUPPORTED, VERIFIED, ObstructionCert, Outcome,
                               SpecializationCert, cert_from_record, load_cert_file,
                               scaling_cert, verify_cert, verify_obstruction,
                               verify_specialization)
@@ -101,6 +102,30 @@ def test_obstruction_examples(catalog):
     assert out.verified
     out = verify_obstruction(ObstructionCert("(7|2)", "(7|3)", "DIM0"), catalog)
     assert out.status == NOT_VERIFIED
+
+
+def test_closed_set_outcomes_keep_their_detail_strings(catalog):
+    # C..E off the component with a 2-dimensional even part ((1|1), (2|1):
+    # component 3), and pairs that a set does or does not separate
+    for m in ("C", "D", "E"):
+        assert verify_obstruction(ObstructionCert("(1|1)", "(2|1)", m), catalog) == Outcome(
+            NOT_VERIFIED, "closed-set", f"set ({m}) is defined on the component with a 2-dimensional even part")
+    assert verify_obstruction(ObstructionCert("(16|1)", "(16|3)", "D"), catalog) == Outcome(
+        NOT_VERIFIED, "closed-set", "set (D) contains source=False, target=True; no separation")
+    assert verify_obstruction(ObstructionCert("(9|2)", "(3|2)", "A"), catalog) == Outcome(
+        NOT_VERIFIED, "closed-set", "set (A) contains source=True, target=True; no separation")
+    assert verify_obstruction(ObstructionCert("(16|3)", "(16|1)", "D"), catalog) == Outcome(VERIFIED)
+
+
+def test_closed_set_table_error_is_the_detail(monkeypatch):
+    def broken(sc, split=None):
+        raise ValueError("the even part is not closed under multiplication")
+    monkeypatch.setattr(catalog_module, "closed_set_member", broken)
+    fresh = load_catalog()
+    for m in ("A", "C"):
+        assert verify_obstruction(ObstructionCert("(16|3)", "(16|1)", m), fresh) == Outcome(
+            NOT_VERIFIED, "closed-set", "the even part is not closed under multiplication")
+    assert verify_obstruction(ObstructionCert("(16|3)", "(16|1)", "OD"), fresh).status == NOT_VERIFIED
 
 
 def test_underlying_requires_table(catalog):

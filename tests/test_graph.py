@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from superdegen.catalog import CLOSED_ORBIT_LABEL
+import superdegen.catalog as catalog_module
+from superdegen.catalog import CLOSED_ORBIT_LABEL, load_catalog
 from superdegen.certs import ObstructionCert, load_cert_file
 from superdegen.graph import (ASSERTED_GENERIC, ContradictionFound, build_graph, dot_diagram,
-                              generic_structures, json_diagram, load_undetermined)
+                              generic_structures, json_diagram, load_default_graph, load_undetermined)
 
 
 def test_sources_match_the_classification(graph):
@@ -58,7 +61,7 @@ def test_edges_stay_within_components(graph):
 def test_orbit_dimension_drops_along_edges(graph):
     for (s, t), tag in graph.edges.items():
         ns, nt = graph.nodes[s], graph.nodes[t]
-        if ns.is_family:
+        if ns.parametric:
             assert ns.orbit_dim >= nt.orbit_dim, (s, t, tag)
         else:
             assert ns.orbit_dim > nt.orbit_dim, (s, t, tag)
@@ -116,3 +119,16 @@ def test_component_node_counts(graph):
     assert len(json_diagram(graph, 1)["nodes"]) == 1
     assert len(json_diagram(graph, 2)["nodes"]) == 24
     assert len(json_diagram(graph, 4)["nodes"]) == 19
+
+
+def test_one_closed_set_table_per_entry(monkeypatch):
+    # the obstruction certificates and the auto-resolved pairs of one graph
+    # read each entry's table, built at most once
+    real, calls = catalog_module.closed_set_member, Counter()
+    monkeypatch.setattr(catalog_module, "closed_set_member",
+                        lambda sc, split=None: calls.update([id(sc)]) or real(sc, split))
+    fresh = load_catalog()
+    graph = load_default_graph(fresh)
+    assert calls and set(calls) <= {id(e.sc) for e in fresh.entries.values()}
+    assert max(calls.values()) == 1
+    assert graph.nodes is fresh.entries

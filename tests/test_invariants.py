@@ -1,7 +1,11 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from superdegen import invariants
+from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.invariants import (WrongComponent, closed_set_member, derivation_system, fingerprint,
                                    orbit_dim, radical_basis, square_zero_subspace_dim2, stabilizer_dim)
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, Matrix
@@ -70,13 +74,134 @@ def test_radical_matches_square_zero_oracle_on_dim2(catalog):
 
 
 def test_closed_set_examples(catalog):
-    assert closed_set_member(catalog.get("(9|2)"), "A")
-    assert closed_set_member(catalog.get("(16|3)"), "D")
-    assert not closed_set_member(catalog.get("(16|1)"), "D")
-    assert closed_set_member(catalog.get("(13|1)"), "B")
-    assert not closed_set_member(catalog.get("(14|1)"), "B")
-    with pytest.raises(WrongComponent):
-        closed_set_member(catalog.get("(14|1)"), "C")  # 3-dimensional even part
+    assert closed_set_member(catalog.get("(9|2)"))["A"]
+    assert closed_set_member(catalog.get("(16|3)"))["D"]
+    assert not closed_set_member(catalog.get("(16|1)"))["D"]
+    assert closed_set_member(catalog.get("(13|1)"))["B"]
+    assert not closed_set_member(catalog.get("(14|1)"))["B"]
+    assert "C" not in closed_set_member(catalog.get("(14|1)"))  # 3-dimensional even part
+
+
+# --- the one closed-set pass against the five-branch membership test ---
+
+def _reference_closed_set_member(sc, name, split=None):
+    """Membership in one closed set, one set per call, as before the table
+    of `closed_set_member`; kept as its oracle."""
+    if name not in ("A", "B", "C", "D", "E"):
+        raise ValueError(f"unknown closed set {name!r}")
+    split = split or grading_split(sc)
+    if name == "A":
+        for u in split.basis1:
+            for v in split.basis1:
+                if any(not c.is_zero() for c in sc.multiply(u, v)):
+                    return False
+        return True
+    if name == "B":
+        for u in split.basis0:
+            for v in split.basis0:
+                uv = sc.multiply(u, v)
+                vu = sc.multiply(v, u)
+                if any(not (a - b).is_zero() for a, b in zip(uv, vu)):
+                    return False
+        return True
+    if split.dim0 != 2:
+        raise WrongComponent(f"set ({name}) is defined on the component with a 2-dimensional even part")
+    j = square_zero_subspace_dim2(sc, split.basis0)
+    if len(j) != 1:
+        return False
+    if name == "C":
+        return True
+    for w in split.basis1:
+        prod = sc.multiply(j[0], w) if name == "D" else sc.multiply(w, j[0])
+        if any(not c.is_zero() for c in prod):
+            return False
+    return True
+
+
+def _assert_table_matches_reference(sc):
+    split = grading_split(sc)
+    table = closed_set_member(sc, split)
+    defined = ("A", "B", "C", "D", "E") if split.dim0 == 2 else ("A", "B")
+    assert list(table) == list(defined)
+    assert all(type(v) is bool for v in table.values())
+    for name in ("A", "B", "C", "D", "E"):
+        if name in defined:
+            assert table[name] == _reference_closed_set_member(sc, name, split), name
+        else:
+            with pytest.raises(WrongComponent):
+                _reference_closed_set_member(sc, name, split)
+    return table
+
+
+def test_closed_set_table_matches_reference_on_entries(catalog):
+    seen = Counter()
+    for e in catalog.entries.values():
+        table = _assert_table_matches_reference(e.sc)
+        assert table == e.closed_sets, e.label
+        seen.update(name for name, v in table.items() if v)
+        seen.update(f"not {name}" for name, v in table.items() if not v)
+    # every set is met both ways on the catalog, D and E included
+    assert all(seen[name] and seen[f"not {name}"] for name in ("A", "B", "C", "D", "E")), seen
+
+
+def test_closed_set_table_matches_reference_on_fuzz_points(benchmark_points):
+    # one pass of each fuzz workload on seeds 101 and 7
+    count = 0
+    for workload in ("fuzz-fixed", "fuzz-family"):
+        for seed in (101, 7):
+            for sc in benchmark_points(workload, seed):
+                _assert_table_matches_reference(sc)
+                count += 1
+    assert count == 2 * (116 + 60)
+
+
+def test_closed_set_table_matches_reference_on_rational_and_z_moves(catalog):
+    # family points moved by a g over Q (an l-denominator-free point with
+    # rational constants) and by a g with a z-part
+    rng = random.Random(53)
+    for label in ("(18;l|0)", "(18;l|1)", "(18;l|2)", "(16|1)", "(16|3)"):
+        sc = catalog.entry(label).sc
+        for _ in range(2):
+            rows = [[Fraction(int(r == 0)) if c == 0 else Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     for c in range(4)] for r in range(4)]
+            g = Matrix.from_rows([[sc.field.lift(Cyclo8(x)) for x in row] for row in rows], sc.field)
+            if g.determinant().is_zero():
+                continue
+            _assert_table_matches_reference(transport(g, sc))
+        g = Matrix.from_rows([[1, 0, 0, 1], [0, 1, ZETA, 0], [0, 0, 1, 0], [0, 1 - ZETA, 0, 1]], sc.field)
+        _assert_table_matches_reference(transport(g, sc))
+
+
+def test_fingerprint_solves_for_j_once(catalog, monkeypatch):
+    calls = []
+    real = invariants.square_zero_subspace_dim2
+    monkeypatch.setattr(invariants, "square_zero_subspace_dim2", lambda sc, b: calls.append(sc) or real(sc, b))
+    for label, solves in (("(16|1)", 1), ("(18;l|2)", 1), ("(14|1)", 0), ("(9|3)", 0)):
+        calls.clear()
+        fingerprint(catalog.get(label))
+        assert len(calls) == solves, label
+
+
+def test_auto_obstructions_take_the_first_separating_method(graph):
+    # the graph's "auto (X)" evidence against the orbit dimensions and the
+    # reference sets, methods tried in the order OD, A, B, C, D, E
+    catalog, auto = graph.catalog, 0
+    for s, src in catalog.entries.items():
+        for t, tgt in catalog.entries.items():
+            if s == t or src.component != tgt.component or (s, t) in graph.edges:
+                continue
+            if graph.obstructed.get((s, t), "").startswith("certificate"):
+                continue
+            first = None
+            if (src.orbit_dim < tgt.orbit_dim) if src.parametric else (src.orbit_dim <= tgt.orbit_dim):
+                first = "OD"
+            for name in ("A", "B", "C", "D", "E") if src.component == 2 else ("A", "B"):
+                if first is None and (_reference_closed_set_member(src.sc, name)
+                                      and not _reference_closed_set_member(tgt.sc, name)):
+                    first = name
+            assert graph.obstructed.get((s, t)) == (None if first is None else f"auto ({first})"), (s, t)
+            auto += first is not None
+    assert auto > 0
 
 
 def test_fingerprint_separates_and_collides(catalog):

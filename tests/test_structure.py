@@ -1,9 +1,7 @@
-import importlib
 import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -330,7 +328,7 @@ def test_transport_matches_reference_on_certificate_curves(catalog):
             if cert.pre_change is not None:
                 curve = _lift_matrix_to_trat(cert.pre_change, cert.lambda_sub) * curve
             src_t = _sc_over_trat(src, cert.lambda_sub)
-            moved = transport(curve, src_t, field=FIELD_TRAT, revalidate=False)
+            moved = transport(curve, src_t, revalidate=False)
             assert moved == _reference_transport(curve, src_t, field=FIELD_TRAT)
             checked += 1
     assert checked == 43
@@ -421,26 +419,13 @@ def _assert_family5_agrees(sc):
         assert check_axioms(sc, unital)[5] == _reference_family5(sc, unital)
 
 
-def _benchmark_points(catalog, workload, seed):
-    """The points of one pass of a perfbench fuzz workload (its own input
-    generator), moved without revalidation."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        points = importlib.import_module("inputs").fuzz_points(workload, seed)
-    out = []
-    for point in points:
-        sc = catalog.entry(point["label"]).sc
-        out.append(transport(Matrix.from_rows(point["g"], sc.field), sc, revalidate=False))
-    return out
-
-
-def test_family5_matches_the_along_formula_on_entries_and_fuzz_points(catalog):
+def test_family5_matches_the_along_formula_on_entries_and_fuzz_points(catalog, benchmark_points):
     # every entry, and one pass of each fuzz workload on seeds 101 and 7:
     # the family points lie on the integer image with E > 1 after an integer g
     points = [catalog.entry(label).sc for label in catalog.labels()]
     for workload in ("fuzz-fixed", "fuzz-family"):
         for seed in (101, 7):
-            points += _benchmark_points(catalog, workload, seed)
+            points += benchmark_points(workload, seed)
     with _paths() as ran:
         for sc in points:
             _assert_family5_agrees(sc)
@@ -485,8 +470,8 @@ def _paths():
     ran = Counter()
     real_transport, real_point, real_t_image = structure._transport_image, structure._point, certs._t_image
 
-    def transport_spy(g, sc, field):
-        out = real_transport(g, sc, field)
+    def transport_spy(g, sc):
+        out = real_transport(g, sc)
         ran["field" if out is None else "image"] += 1
         return out
 
