@@ -8,9 +8,11 @@ every entry: defining equations, declared component, label uniqueness,
 and use of the family parameter.
 
 The default catalog holds 5 552 literals but only six distinct ones
-(`0`, `1`, `-1`, `2`, `-2`, `l`).  `load_catalog` parses and lifts each
-distinct (field, literal) pair once per load, in a dict local to that
-load, and the entries share the resulting scalars, which are immutable.
+(`0`, `1`, `-1`, `2`, `-2`, `l`).  `load_catalog` parses each distinct
+(field, literal) pair once per load, in a dict local to that load, into
+its scalar and its int coefficients in l.  The entries share the scalars,
+which are immutable, and keep the integer image read off the ints (D = E
+= 1; degree 0 for the fixed entries), so they validate and rank on ints.
 A bad literal fails at its first occurrence, so the error names that one.
 
 The same dict keeps one grading split per distinct (field, gamma literals),
@@ -28,7 +30,7 @@ from importlib import resources
 
 from .cyclo import Cyclo8
 from .invariants import closed_set_member, fingerprint, stabilizer_dim
-from .linalg import FIELD_C8, FIELD_LRAT, Matrix
+from .linalg import FIELD_C8, FIELD_LRAT, Matrix, integer_polys
 from .literals import ParseError, parse_scalar
 from .scalars import LambdaRat, scalar_substitute
 from .structure import (GradedSplit, NotInGroup, StructureConstants, grading_split, group_element,
@@ -93,32 +95,38 @@ class CatalogEntry:
         return closed_set_member(self.sc, self.split)
 
 
-def _parse_in(field, literal, where, parsed):
-    """The literal lifted into field; `parsed` maps (field name, literal) to
-    the scalars already made, and gains this one."""
-    key = (field.name, literal)
-    if type(literal) is str and key in parsed:
-        return parsed[key]
-    try:
-        v = parse_scalar(literal)
-    except Exception as exc:
-        raise CatalogParseError(f"{where}: {exc}") from exc
-    try:
-        v = field.lift(v)
-    except TypeError as exc:
-        raise ValidationError(f"{where}: literal {literal!r} does not lie in {field.name}") from exc
-    parsed[key] = v
-    return v
+def _parse_in(field, lits, table, where, indexed=True):
+    """The pair of each literal: its scalar in field and the int coefficient
+    list in l `integer_polys` gives for it (None unless of denominator 1).
+    `table` holds the pairs of one load; an error names where[index] (where, unindexed)."""
+    out = []
+    for idx, lit in enumerate(lits):
+        if type(lit) is not str or lit not in table:
+            at = f"{where}[{idx}]" if indexed else where
+            try:
+                v = parse_scalar(lit)
+            except Exception as exc:
+                raise CatalogParseError(f"{at}: {exc}") from exc
+            try:
+                v = field.lift(v)
+            except TypeError as exc:
+                raise ValidationError(f"{at}: literal {lit!r} does not lie in {field.name}") from exc
+            image = integer_polys([LambdaRat.coerce(v).num])
+            table[lit] = v, image[1][0] if image and image[0] == 1 else None
+        out.append(table[lit])
+    return out
 
 
-def _mentions_lambda(x) -> bool:
-    return isinstance(x, LambdaRat) and not x.is_constant()
+def _k_major(flat, n):
+    """alpha[i][j] as the n-tuple over k of the file's alpha[k*n*n + i*n + j]."""
+    ij = list(zip(*[flat[k * n * n:(k + 1) * n * n] for k in range(n)]))
+    return [ij[i * n:(i + 1) * n] for i in range(n)]
 
 
 def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
-    """One validated entry; `parsed` is the literal dict `_parse_in` shares
-    across the entries of one load, which also maps (field name, gamma
-    literals) to the grading split made for them."""
+    """One validated entry; `parsed`, the dict of one load, maps each field's
+    name to its literal table (`_parse_in`) and (field name, gamma literals)
+    to the grading split made for them."""
     parsed = {} if parsed is None else parsed
     for key in ("label", "n", "component", "parametric", "alpha", "gamma"):
         if key not in rec:
@@ -136,12 +144,13 @@ def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
         raise CatalogParseError(f"{label}: alpha must hold {n ** 3} literals")
     if len(rec["gamma"]) != n ** 2:
         raise CatalogParseError(f"{label}: gamma must hold {n ** 2} literals")
-    # file order is k-major: alpha[k*n*n + i*n + j] = coefficient of e_k in e_i e_j
-    raw = [_parse_in(field, lit, f"{label}.alpha[{idx}]", parsed) for idx, lit in enumerate(rec["alpha"])]
-    alpha = [[[raw[k * n * n + i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
-    graw = [_parse_in(field, lit, f"{label}.gamma[{idx}]", parsed) for idx, lit in enumerate(rec["gamma"])]
-    gamma = [[graw[r * n + c] for c in range(n)] for r in range(n)]
-    sc = StructureConstants(n, alpha, gamma, field)
+    table = parsed.setdefault(field.name, {})
+    avals, aints = zip(*_parse_in(field, rec["alpha"], table, f"{label}.alpha"))
+    gvals, gints = zip(*_parse_in(field, rec["gamma"], table, f"{label}.gamma"))
+    rows = range(0, n * n, n)
+    image = (1, _k_major(aints, n), 1, [gints[r:r + n] for r in rows], max(map(len, aints + gints)) - 1) \
+        if None not in aints + gints else None  # else `_image` reads it off the constants, if there is one
+    sc = StructureConstants(n, _k_major(avals, n), [gvals[r:r + n] for r in rows], field, image=image)
     try:
         validate(sc)
     except Exception as exc:
@@ -152,18 +161,16 @@ def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
         raise ValidationError(
             f"{label}: declared component {rec['component']} but the involution splits {split.dim0}+{n - split.dim0}"
         )
-    uses_lambda = any(_mentions_lambda(x) for x in raw + graw)
-    if parametric and not uses_lambda:
+    # a literal of a fixed entry lies in Q(z), so only a family can miss l
+    if parametric and all(table[lit][0].is_constant() for lit in {*rec["alpha"], *rec["gamma"]}):
         raise ValidationError(f"{label}: declared parametric but no literal involves the family parameter")
-    if not parametric and uses_lambda:
-        raise ValidationError(f"{label}: non-parametric entry involves the family parameter")
     change = None
     if rec.get("u_base_change"):
         lits = rec["u_base_change"]
         if type(lits) is not list or len(lits) != n * n:
             raise CatalogParseError(f"{label}: u_base_change must hold {n * n} literals")
-        ents = [_parse_in(field, lit, f"{label}.u_base_change", parsed) for lit in lits]
-        change = Matrix(n, n, ents, field)
+        pairs = _parse_in(field, lits, table, f"{label}.u_base_change", False)
+        change = Matrix(n, n, [v for v, _ in pairs], field)
         try:
             group_element(change)
         except NotInGroup as exc:

@@ -75,8 +75,8 @@ from .cyclo import C8_ZERO, Cyclo8
 from .literals import ParseError, parse_scalar
 from .polys import porder
 from .scalars import LambdaRat
-from .structure import (NotInGroup, StructureConstants, _moved, group_element, moved_numerators, transport,
-                        validate)
+from .structure import (NotInGroup, StructureConstants, _image, _moved, group_element, moved_numerators,
+                        transport, validate)
 from .tpoly import TRat, substitute_lambda
 
 VERIFIED = "verified"
@@ -169,8 +169,13 @@ def _t_image(cert: SpecializationCert, sc: StructureConstants):
     if cert.lambda_sub is not None or sc.field is not FIELD_C8 or (pre is not None and pre.field is not FIELD_C8) \
             or any(type(c) is not Cyclo8 for x in cert.curve.entries for c in x.num):
         return None
-    point = integer_polys([[x for plane in sc.alpha for row in plane for x in row],
-                           [x for row in sc.gamma for x in row]])
+    img = _image(sc)
+    if img and not img[4] and img[0] == img[2]:  # sc's kept image, of degree 0 with D = E
+        point = img[0], [[p[0] if p else 0 for plane in img[1] for row in plane for p in row],
+                         [p[0] if p else 0 for row in img[3] for p in row]]
+    else:
+        point = integer_polys([[x for plane in sc.alpha for row in plane for x in row],
+                               [x for row in sc.gamma for x in row]])
     curve = integer_polys([x.num for x in cert.curve.entries])
     change = (1, [None]) if pre is None else integer_polys([pre.entries])
     if point is None or curve is None or change is None:
@@ -415,14 +420,17 @@ def _field(rec, key, kind, default=_REQUIRED):
     return value
 
 
-def _literal(key, lit):
-    try:
-        return parse_scalar(lit)
-    except (ParseError, ZeroDivisionError) as exc:
-        raise CertFormatError(f"field {key!r}: bad literal {lit!r}: {exc}") from exc
+def _literal(key, lit, parsed):
+    """The scalar of lit, parsed once per file: `parsed` maps the file's literals read so far to theirs."""
+    if lit not in parsed:
+        try:
+            parsed[lit] = parse_scalar(lit)
+        except (ParseError, ZeroDivisionError) as exc:
+            raise CertFormatError(f"field {key!r}: bad literal {lit!r}: {exc}") from exc
+    return parsed[lit]
 
 
-def _literals(rec, key, n):
+def _literals(rec, key, n, parsed):
     """The n*n scalar literals of a matrix field, or None when it is absent."""
     lits = _field(rec, key, list, None)
     if lits is None:
@@ -431,11 +439,11 @@ def _literals(rec, key, n):
         raise CertFormatError(f"field {key!r}: needs {n * n} literals, got {len(lits)}")
     if not all(isinstance(lit, str) for lit in lits):
         raise CertFormatError(f"field {key!r}: every entry must be a string literal")
-    return [_literal(key, lit) for lit in lits]
+    return [_literal(key, lit, parsed) for lit in lits]
 
 
-def _parse_group_matrix(rec, key, n, field):
-    values = _literals(rec, key, n)
+def _parse_group_matrix(rec, key, n, field, parsed):
+    values = _literals(rec, key, n, parsed)
     if values is None:
         return None
     entries = []
@@ -447,8 +455,8 @@ def _parse_group_matrix(rec, key, n, field):
     return Matrix(n, n, entries, field)
 
 
-def _parse_curve(rec, n):
-    values = _literals(rec, "curve", n)
+def _parse_curve(rec, n, parsed):
+    values = _literals(rec, "curve", n, parsed)
     if values is None:
         return Matrix.identity(n, FIELD_TRAT)
     entries = [TRat.coerce(v) for v in values]
@@ -458,9 +466,10 @@ def _parse_curve(rec, n):
     return Matrix(n, n, entries, FIELD_TRAT)
 
 
-def cert_from_record(rec: dict, n: int = 4):
+def cert_from_record(rec: dict, n: int = 4, parsed=None):
     """One certificate from its JSON record; CertFormatError names the field
-    of any record that does not follow data/schema.md."""
+    of any record that does not follow data/schema.md; `parsed` as in `_literal`."""
+    parsed = {} if parsed is None else parsed
     if not isinstance(rec, dict):
         raise CertFormatError(f"expected an object, got {_json_type(rec)}")
     kind = rec.get("kind")
@@ -472,15 +481,15 @@ def cert_from_record(rec: dict, n: int = 4):
         return ObstructionCert(method=_field(rec, "method", str), **common)
     lam = _field(rec, "lambda", str, None)
     if lam is not None:
-        lam = TRat.coerce(_literal("lambda", lam))
+        lam = TRat.coerce(_literal("lambda", lam, parsed))
     if kind == "family_limit" and lam is None:
         raise CertFormatError("family_limit certificate needs a lambda substitution")
     pre_field = FIELD_LRAT if any("l" in lit for lit in rec.get("pre_change") or []
                                   if isinstance(lit, str)) else FIELD_C8
     return SpecializationCert(
-        pre_change=_parse_group_matrix(rec, "pre_change", n, pre_field),
-        curve=_parse_curve(rec, n),
-        post_change=_parse_group_matrix(rec, "post_change", n, FIELD_C8),
+        pre_change=_parse_group_matrix(rec, "pre_change", n, pre_field, parsed),
+        curve=_parse_curve(rec, n, parsed),
+        post_change=_parse_group_matrix(rec, "post_change", n, FIELD_C8, parsed),
         lambda_sub=lam,
         **common,
     )
@@ -491,7 +500,7 @@ def load_cert_file(path_or_name):
 
     A file that is not UTF-8 JSON in the layout of data/schema.md raises
     CertFormatError (naming the record index and field), OSError or
-    json.JSONDecodeError."""
+    json.JSONDecodeError.  Each distinct literal is parsed once per file."""
     if isinstance(path_or_name, str) and "/" not in path_or_name and not path_or_name.endswith(".json"):
         raw = resources.files("superdegen.data").joinpath(path_or_name + ".json").read_bytes()
     else:
@@ -505,10 +514,10 @@ def load_cert_file(path_or_name):
     records = data.get("certs") if isinstance(data, dict) else data
     if not isinstance(records, list):
         raise CertFormatError("certificate file must hold a list of certificates")
-    certs = []
+    certs, parsed = [], {}
     for index, rec in enumerate(records):
         try:
-            certs.append(cert_from_record(rec))
+            certs.append(cert_from_record(rec, parsed=parsed))
         except CertFormatError as exc:
             raise CertFormatError(f"record {index}: {exc}") from exc
     return certs

@@ -21,7 +21,8 @@ builds its rows on ints, one l-slice of (A, C) at a time: the rows are
 linear in alpha and gamma, so the slices' rows, zipped into int
 polynomials, are the rows times D (products) or E (graded), which keeps the
 rank.  `linalg.int_poly_rank` ranks them at one point above their root
-bound, with no LambdaRat row built.
+bound, with no LambdaRat row built; at degree 0 (a fixed catalog entry)
+they go to `linalg._int_rank` as they are.
 
 The closed, transport-stable sets A..E are decided in one pass over a
 point (`closed_set_member`): its table holds A and B, and C, D and E when
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, int_poly_rank
+from .linalg import Matrix, _int_rank, int_poly_rank
 from .structure import StructureConstants, _image, _slices, grading_split
 
 
@@ -101,6 +102,8 @@ def stabilizer_dim(sc: StructureConstants, graded: bool = True) -> int:
         return m.cols - m.rank()
     slices = [_derivation_rows(n, terms, gamma, 0, graded, first) for terms, gamma in _slices(img)]
     cols = n * (n - first)
+    if len(slices) == 1:  # constants: the rows are the int matrix
+        return cols - _int_rank(map(tuple, slices[0]), cols)
     return cols - int_poly_rank([list(zip(*rows)) for rows in zip(*slices)], cols)
 
 

@@ -22,9 +22,11 @@ depend on the shortcut.
 
 The tensor loops visit only the nonzero structure constants
 (`StructureConstants.terms`).  Transport contracts them with `_along`.
-Family 5 is one pass over them and over the nonzero entries of gamma's
-columns and rows, summing E sigma(e_i e_j) - sigma(e_i) sigma(e_j) into
-one dict keyed (i, j, m) (E is 1 off the integer image, below).  All these
+Family 3 sums (e_i e_j) e_k - e_i (e_j e_k) over them into one dict keyed
+(i, j, k, m).  Family 5 is one pass over them and over the nonzero entries
+of gamma's columns and rows, summing E sigma(e_i e_j) - sigma(e_i)
+sigma(e_j) into one dict keyed (i, j, m) (E is 1 off the integer image,
+below).  All these
 loops run on field scalars and on Python ints alike: a scalar is zero
 exactly when it is false.
 
@@ -39,10 +41,12 @@ n^2 + n products of at most three polynomials of degree at most d (family
 5 reads E * A C = C C A), so its coefficients are below
 x0 = (n^2 + n) (d+1)^2 M^3 + 1, and by Cauchy's bound (`linalg`) a nonzero
 one does not vanish at x0.  `check_axioms` evaluates the image at l = x0
-alone and reports an index exactly when its equation is nonzero there.
-It reads the image from the point's own constants, so revalidation checks
-what transport produced.
-Other points, Q(z) points included, are checked over their field.
+alone (at d = 0 it reads the ints as they are) and reports an index
+exactly when its equation is nonzero there.  The image is kept on the
+point: the catalog supplies each entry's (of degree 0 over Q(z)), and
+`_image` reads any other's once.  It reads the image from those constants
+or the literals they were parsed from, so revalidation checks what
+transport produced.  Other points are checked over their field.
 
 Transport by the adjugate (`linalg.adjugate`): alpha is contracted with g,
 g and adj(g), gamma becomes adj(g) gamma g, and both are divided by det(g)
@@ -80,24 +84,32 @@ class NotInGroup(ValueError):
 
 
 class StructureConstants:
-    __slots__ = ("n", "alpha", "gamma", "field", "validated", "terms")
+    __slots__ = ("n", "alpha", "gamma", "field", "validated", "image", "_terms")
 
-    def __init__(self, n, alpha, gamma, field, validated=False):
+    def __init__(self, n, alpha, gamma, field, validated=False, image=None):
+        lift = field.lift
         self.n = n
-        self.alpha = tuple(tuple(tuple(field.lift(x) for x in row) for row in plane) for plane in alpha)
-        self.gamma = tuple(tuple(field.lift(x) for x in row) for row in gamma)
+        self.alpha = tuple(tuple(tuple(map(lift, row)) for row in plane) for plane in alpha)
+        self.gamma = tuple(tuple(map(lift, row)) for row in gamma)
         self.field = field
         self.validated = validated
-        # terms[i][j] maps k to alpha[i][j][k], for the nonzero entries only
-        self.terms = tuple(tuple({k: a for k, a in enumerate(row) if not a.is_zero()} for row in plane)
-                           for plane in self.alpha)
+        self.image = image  # the integer image; False for none, None until `_image` reads it
+        self._terms = None
+
+    @property
+    def terms(self):
+        """terms[i][j] maps k to alpha[i][j][k], for the nonzero entries only; made on first use."""
+        if self._terms is None:
+            self._terms = tuple(tuple({k: a for k, a in enumerate(row) if not a.is_zero()} for row in plane)
+                                for plane in self.alpha)
+        return self._terms
 
     def gamma_matrix(self) -> Matrix:
         return Matrix.from_rows(self.gamma, self.field)
 
     def multiply(self, x, y):
         """Coordinates of the product of two coordinate vectors."""
-        lift = self.field.lift
+        lift, terms = self.field.lift, self.terms
         out = {}
         for i, xi in enumerate(x):
             xi = lift(xi)
@@ -106,7 +118,7 @@ class StructureConstants:
             for j, yj in enumerate(y):
                 yj = lift(yj)
                 if not yj.is_zero():
-                    _add_scaled(out, xi * yj, self.terms[i][j])
+                    _add_scaled(out, xi * yj, terms[i][j])
         return tuple(out.get(k, self.field.zero) for k in range(self.n))
 
     def sigma(self, x):
@@ -163,9 +175,11 @@ def _along(t, mat, axis):
 
 def _image(sc):
     """The integer image (module docstring) as (D, A, E, C, d), A[i][j][k]
-    and C[r][c] being int coefficient lists in l; None if there is none."""
-    if sc.field is not FIELD_LRAT:
-        return None
+    and C[r][c] being int coefficient lists in l; None if there is none.
+    Kept on the point, read off its constants on first use."""
+    if sc.image is not None or sc.field is not FIELD_LRAT:
+        return sc.image or None
+    sc.image = False
     flat = [x for plane in sc.alpha for row in plane for x in row] + [x for row in sc.gamma for x in row]
     if any(len(x.den) > 1 for x in flat):
         return None
@@ -174,7 +188,8 @@ def _image(sc):
     if a is None or c is None:
         return None
     alpha = [[a[1][(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-    return a[0], alpha, c[0], [c[1][r * n:(r + 1) * n] for r in range(n)], max(map(len, a[1] + c[1])) - 1
+    sc.image = a[0], alpha, c[0], [c[1][r * n:(r + 1) * n] for r in range(n)], max(map(len, a[1] + c[1])) - 1
+    return sc.image
 
 
 def _slices(img):
@@ -193,6 +208,8 @@ def _point(sc):
     if img is None:
         return sc.terms, sc.gamma, sc.field.one, sc.field.one, sc.field.zero
     den, alpha, eden, gamma, d = img
+    if not d:  # constants: the slice of l^0 is the point
+        return (*_slices(img)[0], den, eden, 0)
     m = max(den, eden, *(abs(c) for rows in (*alpha, gamma) for row in rows for p in row for c in p))
     x = (sc.n ** 2 + sc.n) * (d + 1) ** 2 * m ** 3 + 1
     return ([[{k: v for k, p in enumerate(row) if (v := peval(p, x, 0))} for row in plane] for plane in alpha],
@@ -219,16 +236,20 @@ def check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
     # a unit fixed by sigma implies the equations of families 3 and 5 that
     # involve it (module docstring)
     idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
-    # associativity: (e_i e_j) e_k = e_i (e_j e_k), coefficient of e_m
+    # associativity, coefficient of e_m: a nonzero a = alpha_ij^l enters the
+    # triples (i, j, h) as (e_i e_j) e_h and (h, i, j) as e_h (e_i e_j)
+    assoc = {}
     for i in idx:
         for j in idx:
-            for k in idx:
-                res = {}
-                for l, a in terms[i][j].items():
-                    _add_scaled(res, a, terms[l][k])
-                for l, a in terms[j][k].items():
-                    _add_scaled(res, -a, terms[i][l])
-                report[3].update((i + 1, j + 1, k + 1, m + 1) for m, v in res.items() if v)
+            for l, a in terms[i][j].items():
+                for h in idx:
+                    for m, b in terms[l][h].items():
+                        key, x = (i, j, h, m), a * b
+                        assoc[key] = assoc[key] + x if key in assoc else x
+                    for m, b in terms[h][l].items():
+                        key, x = (h, i, j, m), a * b
+                        assoc[key] = assoc[key] - x if key in assoc else -x
+    report[3].update((i + 1, j + 1, k + 1, m + 1) for (i, j, k, m), v in assoc.items() if v)
     # sigma multiplicative: E * sigma(e_i e_j) - sigma(e_i) sigma(e_j) in one
     # dict keyed (i, j, m), from the nonzero products and the nonzero entries
     # of gamma's columns and rows; the left side has one factor gamma =

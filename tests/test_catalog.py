@@ -238,6 +238,10 @@ def _ubc_entry(index, literal):
     return _malformed("(1|1)", "u_base_change", lambda lits: lits[:index] + [literal] + lits[index + 1:])
 
 
+def _resized(label, key, delta):
+    return _malformed(label, key, lambda lits: lits[:-1] if delta < 0 else lits + ["0"])
+
+
 # (mutation, error class, message): shape errors parse as CatalogParseError,
 # a base change outside the group fails validation; each names the entry
 _MALFORMED = [
@@ -252,6 +256,46 @@ _MALFORMED = [
     (_malformed("(1|1)", "u_base_change", ["1", "0", "0", "0", "0", "1", "1", "0", "0", "1", "1", "0",
                                            "0", "0", "0", "1"]),
      ValidationError, "(1|1): u_base_change: matrix is singular"),
+    # the rest keep the messages the loader gave before it kept each entry's
+    # integer image; first, bad literals met after earlier entries have
+    # filled the literal tables
+    (lambda recs: _with_literal(recs, "(19|0)", "alpha", (7,), "3*q"), CatalogParseError,
+     "(19|0).alpha[7]: bad character at 2 in scalar literal '3*q'"),
+    (lambda recs: _with_literal(recs, "(16|1)", "gamma", (3,), "2^"), CatalogParseError,
+     "(16|1).gamma[3]: exponent must be an integer in scalar literal '2^'"),
+    (lambda recs: _with_literal(recs, "(17|0)", "alpha", (63,), "1/0"), CatalogParseError,
+     "(17|0).alpha[63]: inverse of 0 in Q(z)"),
+    (_ubc_entry(6, "q"), CatalogParseError, "(1|1).u_base_change: bad character at 0 in scalar literal 'q'"),
+    # JSON numbers and lists where a literal belongs
+    (lambda recs: _with_literal(recs, "(2|0)", "alpha", (3,), 0), CatalogParseError,
+     "(2|0).alpha[3]: scalar literal must be a string, got int"),
+    (lambda recs: _with_literal(recs, "(19|0)", "gamma", (15,), 1.0), CatalogParseError,
+     "(19|0).gamma[15]: scalar literal must be a string, got float"),
+    (lambda recs: _with_literal(recs, "(16|0)", "alpha", (5,), ["1"]), CatalogParseError,
+     "(16|0).alpha[5]: scalar literal must be a string, got list"),
+    (_ubc_entry(6, 0), CatalogParseError, "(1|1).u_base_change: scalar literal must be a string, got int"),
+    # literals outside the entry's field
+    (lambda recs: _with_literal(recs, "(18;l|1)", "alpha", (9,), "t"), ValidationError,
+     "(18;l|1).alpha[9]: literal 't' does not lie in Q(z)(l)"),
+    (lambda recs: _with_literal(recs, "(13|1)", "gamma", (4,), "z*l"), ValidationError,
+     "(13|1).gamma[4]: literal 'z*l' does not lie in Q(z)"),
+    (_ubc_entry(6, "l"), ValidationError, "(1|1).u_base_change: literal 'l' does not lie in Q(z)"),
+    # alpha or gamma of the wrong length
+    (_resized("(14|1)", "alpha", -1), CatalogParseError, "(14|1): alpha must hold 64 literals"),
+    (_resized("(18;l|2)", "alpha", 1), CatalogParseError, "(18;l|2): alpha must hold 64 literals"),
+    (_resized("(3|2)", "gamma", -1), CatalogParseError, "(3|2): gamma must hold 16 literals"),
+    (_resized("(19|0)", "gamma", 1), CatalogParseError, "(19|0): gamma must hold 16 literals"),
+    # equations checked on a kept image of degree 0 or 1, and on none (1/2, z)
+    (lambda recs: _with_literal(recs, "(7|2)", "gamma", (5,), "-1"), ValidationError,
+     "(7|2): structure constants violate the defining equations: (5): 2 violations"),
+    (lambda recs: _with_literal(recs, "(12|0)", "alpha", (17,), "2"), ValidationError,
+     "(12|0): structure constants violate the defining equations: (1): 1 violations, (3): 3 violations"),
+    (lambda recs: _with_literal(recs, "(18;l|2)", "alpha", (22,), "2*l"), ValidationError,
+     "(18;l|2): structure constants violate the defining equations: (3): 3 violations, (5): 1 violations"),
+    (lambda recs: _with_literal(recs, "(10|1)", "alpha", (30,), "1/2"), ValidationError,
+     "(10|1): structure constants violate the defining equations: (3): 4 violations"),
+    (lambda recs: _with_literal(recs, "(10|1)", "alpha", (30,), "z"), ValidationError,
+     "(10|1): structure constants violate the defining equations: (3): 4 violations"),
 ]
 
 

@@ -1,8 +1,13 @@
+import importlib.resources
+import json
 import time
 
+import pytest
+
 import superdegen.catalog as catalog_module
+import superdegen.certs as certs_module
 from superdegen.catalog import CLOSED_ORBIT_LABEL, load_catalog
-from superdegen.certs import (NOT_VERIFIED, UNSUPPORTED, VERIFIED, ObstructionCert, Outcome,
+from superdegen.certs import (NOT_VERIFIED, UNSUPPORTED, VERIFIED, CertFormatError, ObstructionCert, Outcome,
                               SpecializationCert, cert_from_record, load_cert_file,
                               scaling_cert, verify_cert, verify_obstruction,
                               verify_specialization)
@@ -204,3 +209,61 @@ def test_pole_with_an_l_dependent_pre_change_is_reported_in_time(catalog):
     out = verify_cert(cert_from_record(rec), catalog)
     assert time.perf_counter() - start < 2
     assert out.stage == "regularity" and out.detail.startswith("alpha[2][2][4] = ")
+
+
+# --------------------------------------- one parse per distinct literal and file
+
+def _shipped(name):
+    return json.loads(importlib.resources.files("superdegen.data").joinpath(name + ".json")
+                      .read_text("utf-8"))["certs"]
+
+
+def test_each_distinct_literal_is_parsed_once_per_file(monkeypatch):
+    calls = []
+    real = certs_module.parse_scalar
+    monkeypatch.setattr(certs_module, "parse_scalar", lambda text: calls.append(text) or real(text))
+    for name in certs_module.PACKAGED_CERT_FILES:
+        wanted = {lit for rec in _shipped(name) for key in ("pre_change", "curve", "post_change")
+                  for lit in rec.get(key) or []}
+        wanted |= {rec["lambda"] for rec in _shipped(name) if rec.get("lambda")}
+        first = load_cert_file(name)
+        assert sorted(calls) == sorted(wanted), name
+        # a second load parses them again: the dict lives for one load
+        assert [str(c) for c in load_cert_file(name)] == [str(c) for c in first]
+        assert sorted(calls) == sorted(list(wanted) * 2), name
+        calls.clear()
+
+
+# (file, record, field, entry or None, bad literal, message): each bad literal
+# follows good duplicates of the literals around it, in its own record and in
+# the records before it; the messages are those of a parse per literal
+_AFTER_GOOD_DUPLICATES = [
+    ("spec_dim2", 1, "curve", 5, "q", "record 1: field 'curve': bad literal 'q': bad character at 0 in scalar literal 'q'"),
+    ("spec_dim2", 1, "pre_change", 15, "q",
+     "record 1: field 'pre_change': bad literal 'q': bad character at 0 in scalar literal 'q'"),
+    ("spec_dim3", 4, "curve", 10, "(1",
+     "record 4: field 'curve': bad literal '(1': missing closing parenthesis in scalar literal '(1'"),
+    ("family_limits", 3, "lambda", None, "1/0", "record 3: field 'lambda': bad literal '1/0': inverse of 0 in Q(z)"),
+    # t parses, and is already in the dict from the curve of the same file
+    ("spec_dim2", 0, "post_change", 5, "t", "record 0: field 'post_change': entry 't' does not lie in Q(z)"),
+    ("spec_dim2", 0, "pre_change", 5, "t", "record 0: field 'pre_change': entry 't' does not lie in Q(z)"),
+    ("spec_dim3", 4, "curve", 5, "1/t", "record 4: field 'curve': entry '1/t' is not polynomial in t"),
+]
+
+
+@pytest.mark.parametrize("name, index, key, pos, literal, message", _AFTER_GOOD_DUPLICATES)
+def test_a_bad_literal_after_good_duplicates_keeps_its_message(tmp_path, name, index, key, pos, literal, message):
+    records = _shipped(name)
+    earlier = [lit for rec in records[:index] for k in ("pre_change", "curve", "post_change")
+               for lit in rec.get(k) or []]
+    if pos is None:
+        records[index][key] = literal
+    else:
+        earlier += records[index][key][:pos]
+        records[index][key][pos] = literal
+    assert len(set(earlier)) < len(earlier)  # the dict has served a duplicate before the bad literal
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps({"certs": records}))
+    with pytest.raises(CertFormatError) as info:
+        load_cert_file(str(path))
+    assert str(info.value) == message

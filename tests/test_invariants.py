@@ -312,3 +312,59 @@ def test_unvalidated_point_takes_the_full_system(catalog):
         assert not moved.validated
         for graded in (True, False):
             assert stabilizer_dim(moved, graded) == _full_corank(moved, graded)
+
+
+# --- degree-0 images: ranks on ints against the Matrix.rank path ---
+
+def _matrix_path(sc):
+    """sc without an integer image: `stabilizer_dim` then ranks with Matrix.rank."""
+    return StructureConstants(sc.n, sc.alpha, sc.gamma, sc.field, validated=sc.validated, image=False)
+
+
+def _rank_calls(monkeypatch):
+    calls = []
+    real = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def test_degree_0_stabilizer_matches_the_matrix_rank_path_on_entries(catalog, monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    for label in catalog.labels():
+        sc = catalog.entry(label).sc
+        for graded in (True, False):
+            calls.clear()
+            on_ints = stabilizer_dim(sc, graded)
+            assert not calls  # the kept image takes every entry's rank on ints
+            assert on_ints == stabilizer_dim(_matrix_path(sc), graded), (label, graded)
+            assert len(calls) == 1
+
+
+def test_degree_0_stabilizer_matches_the_matrix_rank_path_on_perturbed_points(catalog, monkeypatch):
+    # one constant of a fixed entry shifted by a rational, the point read over
+    # Q(z)(l): a degree-0 image (D or E = 2 or 3 for the fractional shifts),
+    # against the same point over Q(z) with no image; both unit-free and full
+    # systems, which are the same rows either way
+    calls = _rank_calls(monkeypatch)
+    rng = random.Random(47)
+    fixed = [label for label in catalog.labels() if not catalog.entry(label).parametric]
+    for label in fixed:
+        sc = catalog.entry(label).sc
+        for _ in range(2):
+            alpha = [[list(row) for row in plane] for plane in sc.alpha]
+            gamma = [list(row) for row in sc.gamma]
+            delta = Cyclo8(Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3))))
+            if rng.random() < 0.75:
+                i, j, k = (rng.randrange(4) for _ in range(3))
+                alpha[i][j][k] += delta
+            else:
+                r, c = rng.randrange(4), rng.randrange(4)
+                gamma[r][c] += delta
+            for validated in (True, False):
+                point = StructureConstants(4, alpha, gamma, FIELD_LRAT, validated=validated)
+                plain = StructureConstants(4, alpha, gamma, FIELD_C8, validated=validated)
+                assert invariants._image(point)[4] == 0 and invariants._image(plain) is None
+                for graded in (True, False):
+                    calls.clear()
+                    assert stabilizer_dim(point, graded) == stabilizer_dim(plain, graded), (label, validated)
+                    assert len(calls) == 1

@@ -456,6 +456,91 @@ def test_family5_matches_the_along_formula_with_z_parts(catalog):
         _assert_family5_agrees(_perturbed(moved, "gamma", (1, 2), ZETA))
 
 
+# ------------------------- associativity against the loop over the triples
+
+def _reference_family3(sc, unital=True):
+    """Family 3 as the loop over every triple (i, j, k) of the indices
+    `check_axioms` evaluates, on the same point (`structure._point`), that
+    the one-pass dict replaced: (e_i e_j) e_k - e_i (e_j e_k) per triple."""
+    report = check_axioms(sc, unital)
+    terms = structure._point(sc)[0]
+    n = sc.n
+    idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
+    out = set()
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                res = {}
+                for l, a in terms[i][j].items():
+                    structure._add_scaled(res, a, terms[l][k])
+                for l, a in terms[j][k].items():
+                    structure._add_scaled(res, -a, terms[i][l])
+                out.update((i + 1, j + 1, k + 1, m + 1) for m, v in res.items() if v)
+    return tuple(sorted(out))
+
+
+def _assert_family3_agrees(sc):
+    for unital in (True, False):
+        assert check_axioms(sc, unital)[3] == _reference_family3(sc, unital)
+
+
+def test_associativity_matches_the_triple_loop_on_entries_and_fuzz_points(catalog, benchmark_points):
+    # every entry (the fixed ones on their kept image of degree 0), and one
+    # pass of each fuzz workload on seeds 101 and 7
+    points = [catalog.entry(label).sc for label in catalog.labels()]
+    for workload in ("fuzz-fixed", "fuzz-family"):
+        for seed in (101, 7):
+            points += benchmark_points(workload, seed)
+    with _paths() as ran:
+        for sc in points:
+            _assert_family3_agrees(sc)
+    assert ran["ints"] >= 4 * (61 + 2 * 60) and ran["scalars"] >= 4 * 2 * 116
+
+
+def _on_image(sc):
+    """The Q(z) point sc read over Q(z)(l): its image, if any, has degree 0."""
+    return StructureConstants(sc.n, sc.alpha, sc.gamma, FIELD_LRAT)
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_associativity_matches_the_triple_loop_on_perturbed_points(catalog, place):
+    # perturbed entries, moved and not, over their field and, for the Q(z)
+    # ones, on a degree-0 image (D = 2 for the shift by 1/2)
+    rng = random.Random(1801 + sorted(_PLACES).index(place))
+    with _paths() as ran:
+        for label in ("(18;l|0)", "(18;l|2)", "(7|2)", "(10|1)", "(13|1)", "(1|0)"):
+            sc = catalog.entry(label).sc
+            for point in (sc, transport(random_group_element(rng, 4, sc.field), sc, revalidate=False),
+                          transport(_rational_group_element(rng, sc.field), sc, revalidate=False)):
+                which, index = _PLACES[place](rng.randint)
+                for delta in (Cyclo8(1), Cyclo8(Fraction(1, 2)), Cyclo8(-2, 1),
+                              _falling(1) if sc.field is FIELD_LRAT else Cyclo8(1, 0, 3)):
+                    bad = _perturbed(point, which, index, delta)
+                    _assert_family3_agrees(bad)
+                    if bad.field is FIELD_C8:
+                        _assert_family3_agrees(_on_image(bad))
+                        assert check_axioms(_on_image(bad)) == check_axioms(bad)
+    assert ran["ints"] and ran["scalars"]
+
+
+def _nested_lists(x):
+    """x with every tuple and list, nested, made a list."""
+    return [_nested_lists(y) for y in x] if isinstance(x, (tuple, list)) else x
+
+
+def test_every_entry_keeps_the_image_of_its_constants(catalog):
+    # the loader reads each entry's image off its literals; read off the
+    # constants (a Q(z) entry's as constant polynomials in l) it is the same
+    degrees = Counter()
+    for label in catalog.labels():
+        sc = catalog.entry(label).sc
+        assert structure._image(sc) is sc.image
+        assert _nested_lists(sc.image) == _nested_lists(structure._image(_on_image(sc))), label
+        assert sc.image[0] == sc.image[2] == 1
+        degrees[sc.image[4]] += 1
+    assert degrees == {0: 58, 1: 3}
+
+
 # --------------------- the integer image, the adjugate, and their references
 
 L = LAMBDA

@@ -71,3 +71,30 @@ def test_bench_record_flags_failed_operations(tmp_path, capsys):
     bench = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert not bench["end_to_end"]["workloads"]["atlas"]["all_correct_0_failed"]
     assert "traced" not in bench
+
+
+def test_bench_record_gives_each_command_its_median_elapsed(tmp_path, capsys):
+    # two runs per side, two passes each: the median of each command is taken
+    # over its four passes, a command that raised is left out
+    def command(argv, elapsed, error=None):
+        return {"argv": argv, "elapsed": elapsed, "cpu": elapsed, "items": 1, "error": error, "trace": None}
+    check, tables = ["--json", "check", "spec_dim2"], ["tables", "--kind", "stab"]
+    for side, scale in (("parent", 1.0), ("change", 0.5)):
+        (tmp_path / side).mkdir()
+        for seed, shift in ((1, 0.0), (2, 0.02)):
+            record = _run_record(seed, 0, 0.3, 20.0)
+            record["passes"] = [{"seconds": 0.3, "commands": [command(check, scale * (0.04 + shift + k * 0.01)),
+                                                              command(tables, scale * (0.10 + shift + k * 0.01))]}
+                                for k in range(2)]
+            record["passes"][0]["commands"].append(command(tables, 9.0, error="boom"))
+            (tmp_path / side / f"atlas-seed{seed}-trace0.json").write_text(json.dumps(record))
+    _tool("bench_record").main(["8", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                                "--seeds", "atlas=1-2", "--summary", "s", "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    per_command = json.loads((tmp_path / "BENCH_8.json").read_text())["end_to_end"]["workloads"]["atlas"][
+        "command_elapsed_s"]
+    # parent runs: 0.04, 0.05, 0.06, 0.07 for check; 0.10 .. 0.13 for tables
+    assert per_command == {
+        "--json check spec_dim2": {"parent": 0.055, "change": 0.0275, "change_over_parent": 0.5},
+        "tables --kind stab": {"parent": 0.115, "change": 0.0575, "change_over_parent": 0.5},
+    }

@@ -14,9 +14,11 @@ For every workload it pairs the --trace 0 runs seed by seed and records,
 for each end-to-end metric, both sides' runs, medians and quartiles
 (statistics.quantiles, n=4), the number of pairs the change wins (ties count
 for neither side) and the ratio of the medians, plus each run's pass count
-(peak_rss_mb on the fuzz workloads grows with it).  The --trace 1 runs of
---traced-seed, where present, give the per-layer metrics of both sides.
-Only the run records are read.
+(peak_rss_mb on the fuzz workloads grows with it).  Where the passes list
+their commands (atlas), it also records each command's median `elapsed`
+over every pass of each side's runs, and the ratio of the two.  The
+--trace 1 runs of --traced-seed, where present, give the per-layer metrics
+of both sides.  Only the run records are read.
 """
 
 from __future__ import annotations
@@ -77,6 +79,18 @@ def compare(parent_runs, change_runs, better):
             "change_over_parent_median": round(ratio, 4)}
 
 
+def command_medians(records) -> dict:
+    """Median `elapsed` of each command (argv joined by spaces) over every
+    pass of the runs; commands that raised are left out."""
+    times = {}
+    for record in records:
+        for p in record["passes"]:
+            for c in p.get("commands", []):
+                if "argv" in c and not c.get("error"):
+                    times.setdefault(" ".join(c["argv"]), []).append(c["elapsed"])
+    return {cmd: statistics.median(runs) for cmd, runs in times.items()}
+
+
 def end_to_end(parent_dir, change_dir, workload, seeds):
     sides = {side: [_load(d, workload, s, 0) for s in seeds]
              for side, d in (("parent", parent_dir), ("change", change_dir))}
@@ -85,6 +99,12 @@ def end_to_end(parent_dir, change_dir, workload, seeds):
     for metric, better in END_TO_END.items():
         out[metric] = compare(*[[r["metrics"][metric] for r in sides[side]] for side in ("parent", "change")],
                               better)
+    parent, change = command_medians(sides["parent"]), command_medians(sides["change"])
+    for cmd in sorted(parent.keys() | change.keys()):
+        row = {side: round(m[cmd], 4) if cmd in m else None for side, m in (("parent", parent), ("change", change))}
+        if None not in row.values():
+            row["change_over_parent"] = round(change[cmd] / parent[cmd], 4)
+        out.setdefault("command_elapsed_s", {})[cmd] = row
     return out
 
 
