@@ -96,9 +96,10 @@ class CatalogEntry:
 
 
 def _parse_in(field, lits, table, where, indexed=True):
-    """The pair of each literal: its scalar in field and the int coefficient
-    list in l `integer_polys` gives for it (None unless of denominator 1).
-    `table` holds the pairs of one load; an error names where[index] (where, unindexed)."""
+    """The pair of each literal: its scalar in field and its int coefficient
+    list in l (None unless the scalar is a polynomial in l with int
+    coefficients, so `1/l` and `1/2` have none).  `table` holds the pairs of
+    one load; an error names where[index] (where, unindexed)."""
     out = []
     for idx, lit in enumerate(lits):
         if type(lit) is not str or lit not in table:
@@ -111,7 +112,8 @@ def _parse_in(field, lits, table, where, indexed=True):
                 v = field.lift(v)
             except TypeError as exc:
                 raise ValidationError(f"{at}: literal {lit!r} does not lie in {field.name}") from exc
-            image = integer_polys([LambdaRat.coerce(v).num])
+            x = LambdaRat.coerce(v)
+            image = integer_polys([x.num]) if len(x.den) == 1 else None  # a monic den of length 1 is 1
             table[lit] = v, image[1][0] if image and image[0] == 1 else None
         out.append(table[lit])
     return out

@@ -75,8 +75,8 @@ from .cyclo import C8_ZERO, Cyclo8
 from .literals import ParseError, parse_scalar
 from .polys import porder
 from .scalars import LambdaRat
-from .structure import (NotInGroup, StructureConstants, _image, _moved, group_element, moved_numerators,
-                        transport, validate)
+from .structure import (NotInGroup, StructureConstants, _moved, group_element, moved_numerators, transport,
+                        validate)
 from .tpoly import TRat, substitute_lambda
 
 VERIFIED = "verified"
@@ -169,13 +169,8 @@ def _t_image(cert: SpecializationCert, sc: StructureConstants):
     if cert.lambda_sub is not None or sc.field is not FIELD_C8 or (pre is not None and pre.field is not FIELD_C8) \
             or any(type(c) is not Cyclo8 for x in cert.curve.entries for c in x.num):
         return None
-    img = _image(sc)
-    if img and not img[4] and img[0] == img[2]:  # sc's kept image, of degree 0 with D = E
-        point = img[0], [[p[0] if p else 0 for plane in img[1] for row in plane for p in row],
-                         [p[0] if p else 0 for row in img[3] for p in row]]
-    else:
-        point = integer_polys([[x for plane in sc.alpha for row in plane for x in row],
-                               [x for row in sc.gamma for x in row]])
+    point = integer_polys([[x for plane in sc.alpha for row in plane for x in row],
+                           [x for row in sc.gamma for x in row]])
     curve = integer_polys([x.num for x in cert.curve.entries])
     change = (1, [None]) if pre is None else integer_polys([pre.entries])
     if point is None or curve is None or change is None:

@@ -296,7 +296,32 @@ _MALFORMED = [
      "(10|1): structure constants violate the defining equations: (3): 4 violations"),
     (lambda recs: _with_literal(recs, "(10|1)", "alpha", (30,), "z"), ValidationError,
      "(10|1): structure constants violate the defining equations: (3): 4 violations"),
+    # a family literal with l in its denominator has no int image: e_0 e_1 =
+    # (1/l) e_1 breaks the unit, and so does gamma[0][0] = 1/l the involution
+    (lambda recs: _with_literal(recs, "(18;l|1)", "alpha", (17,), "1/l"), ValidationError,
+     "(18;l|1): structure constants violate the defining equations: (1): 1 violations, (3): 3 violations"),
+    (lambda recs: _with_literal(recs, "(18;l|2)", "gamma", (0,), "1/l"), ValidationError,
+     "(18;l|2): structure constants violate the defining equations: (4): 1 violations, (5): 7 violations, "
+     "(6): 1 violations"),
 ]
+
+
+@pytest.mark.parametrize("label, index, literal, kept", [
+    ("(18;l|0)", 57, "(l^2+l)/(l+1)", True),  # l itself: the entry and its image are unchanged
+    ("(18;l|0)", 57, "1/l", False),  # l -> 1/l (or l/(l+1), 2/l) is still a family member,
+    ("(18;l|2)", 30, "l/(l+1)", False),  # checked and ranked over Q(z)(l), with no image
+    ("(18;l|1)", 57, "2/l", False),
+])
+def test_family_literals_with_a_denominator_in_l(tmp_path, catalog, label, index, literal, kept):
+    from superdegen.invariants import stabilizer_dim
+    from superdegen.structure import _image, check_axioms
+    entry = load_catalog(_write_catalog(tmp_path, _with_literal(_records(), label, "alpha", (index,), literal))).entry(label)
+    sc, ref = entry.sc, catalog.entry(label).sc
+    assert (sc.alpha == ref.alpha) is kept
+    assert (_image(sc) == ref.image) is kept and (_image(sc) is None) is not kept
+    assert not any(check_axioms(sc).values())
+    for graded in (True, False):
+        assert stabilizer_dim(sc, graded) == stabilizer_dim(ref, graded)
 
 
 @pytest.mark.parametrize("mutate, kind, message", _MALFORMED)
