@@ -43,8 +43,9 @@ x0 = (n^2 + n) (d+1)^2 M^3 + 1, and by Cauchy's bound (`linalg`) a nonzero
 one does not vanish at x0.  `check_axioms` evaluates the image at l = x0
 alone (at d = 0 it reads the ints as they are) and reports an index
 exactly when its equation is nonzero there.  The image is kept on the
-point: the catalog supplies each entry's (of degree 0 over Q(z)), and
-`_image` reads any other's once.  It reads the image from those constants
+point: the catalog supplies each entry's whose literals are all int
+polynomials in l (degree 0 for a fixed entry), and `_image` reads any
+other's once.  It reads the image from those constants
 or the literals they were parsed from, so revalidation checks what
 transport produced.  Other points are checked over their field.
 
