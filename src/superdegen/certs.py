@@ -54,7 +54,8 @@ An obstruction certificate claims a NON-degeneration by one of the methods:
   OD    orbit dimension does not drop
   A..E  a closed transport-stable set contains the source but not the target
   DIM0  the even-part dimensions differ
-  UNDERLYING  the underlying algebras do not degenerate (external table)
+  UNDERLYING  the underlying algebras do not degenerate; always UNSUPPORTED,
+              as it needs an external table that no caller can supply
 `separates` decides OD and A..E, here and for the pairs the graph
 resolves on the fly; the closed sets are read from each catalog entry's
 table, built once (`CatalogEntry.closed_sets`).
@@ -353,7 +354,7 @@ def separates(method: str, src: CatalogEntry, tgt: CatalogEntry) -> bool:
     return src.closed_sets[method] and not tgt.closed_sets[method]
 
 
-def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None) -> Outcome:
+def verify_obstruction(cert: ObstructionCert, catalog: Catalog) -> Outcome:
     if cert.method not in OBSTRUCTION_METHODS:
         return Outcome(NOT_VERIFIED, "method", f"unknown method {cert.method!r}")
     try:
@@ -368,12 +369,7 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog, underlying=None)
     if src_entry.component != tgt_entry.component:
         return Outcome(NOT_VERIFIED, "component", "methods other than DIM0 compare within one component")
     if cert.method == "UNDERLYING":
-        if underlying is None:
-            return Outcome(UNSUPPORTED, "underlying", "no external algebra-degeneration table supplied")
-        key = (src_entry.family, tgt_entry.family)
-        if underlying.get(key):
-            return Outcome(VERIFIED)
-        return Outcome(NOT_VERIFIED, "underlying", "table does not assert the algebra-level obstruction")
+        return Outcome(UNSUPPORTED, "underlying", "no external algebra-degeneration table supplied")
     if cert.method == "OD":
         if cert.source == cert.target:
             return Outcome(NOT_VERIFIED, "orbit-dim", "trivial pair")
@@ -518,9 +514,9 @@ def load_cert_file(path_or_name):
     return certs
 
 
-def verify_cert(cert, catalog: Catalog, underlying=None) -> Outcome:
+def verify_cert(cert, catalog: Catalog) -> Outcome:
     if isinstance(cert, ObstructionCert):
-        return verify_obstruction(cert, catalog, underlying)
+        return verify_obstruction(cert, catalog)
     if cert.is_family_limit:
         return verify_family_limit(cert, catalog)
     return verify_specialization(cert, catalog)

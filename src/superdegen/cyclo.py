@@ -65,10 +65,6 @@ class Cyclo8:
         x = _make(*(int(a.numerator) * (d // a.denominator) for a in coeffs), d)
         self.c, self.d = x.c, x.d
 
-    @classmethod
-    def from_rational(cls, num, den=1) -> "Cyclo8":
-        return cls(num) / cls(den)
-
     def is_zero(self) -> bool:
         a0, a1, a2, a3 = self.c
         return not (a0 or a1 or a2 or a3)

@@ -13,7 +13,7 @@ then the closed sets of the source's table in the order A..E.  Each entry
 builds its table once (`CatalogEntry.closed_sets`), so the certificates and
 the graph share it.  What remains is reported as either pre-registered
 undetermined pairs or pairs whose resolution the classification delegates
-to external algebra-level data.
+to external algebra-level data, which no caller can supply.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class DegenerationGraph:
     obstructed: dict         # (src, tgt) -> evidence string
     undetermined: list       # pre-registered open pairs (src, tgt)
     external: list           # unresolved pairs deferred to algebra-level data
-    contradictions: list
     generic_flags: dict = field(default_factory=dict)
 
     @property
@@ -74,9 +73,6 @@ class DegenerationGraph:
         incoming = {t for (s, t) in self.edges if s != t}
         return [l for l in self.component_nodes(component) if l not in incoming]
 
-    def reaches(self, src, tgt):
-        return src == tgt or (src, tgt) in self.edges
-
 
 def load_undetermined():
     text = resources.files("superdegen.data").joinpath("undetermined.json").read_text("utf-8")
@@ -93,7 +89,7 @@ def _auto_obstruction(src: CatalogEntry, tgt: CatalogEntry):
 
 
 def build_graph(catalog: Catalog, specs, family_limits, obstructions,
-                undetermined_pairs, underlying=None) -> DegenerationGraph:
+                undetermined_pairs) -> DegenerationGraph:
     """Assemble the graph from certificates.  Every certificate is verified
     here; one that fails although its record expects success is rejected."""
     edges = {}
@@ -132,7 +128,7 @@ def build_graph(catalog: Catalog, specs, family_limits, obstructions,
 
     obstructed = {}
     for cert in obstructions:
-        outcome = verify_cert(cert, catalog, underlying)
+        outcome = verify_cert(cert, catalog)
         if outcome.verified:
             obstructed[(cert.source, cert.target)] = f"certificate ({cert.method})"
         elif cert.expected == VERIFIED:
@@ -154,8 +150,6 @@ def build_graph(catalog: Catalog, specs, family_limits, obstructions,
             m = _auto_obstruction(nd_s, nd_t)
             if m is not None:
                 obstructed[(s, t)] = f"auto ({m})"
-            elif underlying is not None and underlying.get((nd_s.family, nd_t.family)):
-                obstructed[(s, t)] = "underlying table"
             elif (s, t) in registered:
                 undetermined.append((s, t))
             else:
@@ -167,7 +161,6 @@ def build_graph(catalog: Catalog, specs, family_limits, obstructions,
         obstructed=obstructed,
         undetermined=sorted(undetermined),
         external=sorted(external),
-        contradictions=[],
     )
     graph.generic_flags = _flag_generics(graph, registered)
     return graph
@@ -196,21 +189,21 @@ def _flag_generics(graph: DegenerationGraph, registered):
     return flags
 
 
-def generic_structures(graph: DegenerationGraph, component: int, underlying=None):
+def generic_structures(graph: DegenerationGraph, component: int):
     """Source nodes of the component with their confirmation flags; the
-    trivially graded component is asserted data unless an algebra-level
-    table is supplied, since its internal edges live outside this package."""
-    if component == 4 and underlying is None:
+    trivially graded component is asserted data, since its internal edges
+    live outside this package."""
+    if component == 4:
         return [(label, "external-data") for label in ASSERTED_GENERIC[4]]
     return [(label, graph.generic_flags.get(label, "confirmed")) for label in graph.sources(component)]
 
 
-def load_default_graph(catalog: Catalog, underlying=None) -> DegenerationGraph:
+def load_default_graph(catalog: Catalog) -> DegenerationGraph:
     specs = load_cert_file("spec_dim3") + load_cert_file("spec_dim2")
     fams = load_cert_file("family_limits")
     obstructions = (load_cert_file("obstructions_dim3") + load_cert_file("obstructions_dim2")
                     + load_cert_file("obstructions_dim0"))
-    return build_graph(catalog, specs, fams, obstructions, load_undetermined(), underlying)
+    return build_graph(catalog, specs, fams, obstructions, load_undetermined())
 
 
 # ------------------------------------------------------------- emission
@@ -256,7 +249,7 @@ def dot_diagram(graph: DegenerationGraph, component: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_diagram(graph: DegenerationGraph, component: int, underlying=None) -> dict:
+def json_diagram(graph: DegenerationGraph, component: int) -> dict:
     nodes = []
     for l in graph.component_nodes(component):
         nd = graph.nodes[l]
@@ -268,12 +261,12 @@ def json_diagram(graph: DegenerationGraph, component: int, underlying=None) -> d
         "nodes": nodes,
         "edges": edges,
         "sources": graph.sources(component),
-        "generic": [{"label": l, "flag": f} for l, f in generic_structures(graph, component, underlying)],
+        "generic": [{"label": l, "flag": f} for l, f in generic_structures(graph, component)],
         "undetermined": [{"source": s, "target": t} for (s, t) in graph.undetermined
                          if graph.nodes[s].component == component],
         "external": [{"source": s, "target": t} for (s, t) in graph.external
                      if graph.nodes[s].component == component],
     }
-    if component == 4 and underlying is None:
+    if component == 4:
         out["note"] = "internal degenerations of this component are deferred to external algebra-level data"
     return out

@@ -336,19 +336,6 @@ class Matrix:
                 flat.append(acc)
         return Matrix(self.rows, other.cols, flat, self.field)
 
-    def apply(self, vec):
-        z = self.field.zero
-        out = []
-        for r in range(self.rows):
-            acc = z
-            row = self.row(r)
-            for k, x in enumerate(vec):
-                x = self.field.lift(x)
-                if not x.is_zero():
-                    acc = acc + row[k] * x
-            out.append(acc)
-        return tuple(out)
-
     def transpose(self):
         flat = [self.at(r, c) for c in range(self.cols) for r in range(self.rows)]
         return Matrix(self.cols, self.rows, flat, self.field)

@@ -9,16 +9,13 @@ are numbered 1..6:
   2: e_i e_1 = e_i            5: sigma(e_i e_j) = sigma(e_i) sigma(e_j)
   3: associativity             6: sigma^2 = id
 
-The non-unital variant checks only families 3, 5, 6.
-
 When families 1, 2 and 4 hold, e_1 is a two-sided unit fixed by sigma, and
 every equation of families 3 and 5 with an index on e_1 follows from them:
 (e_1 e_j) e_k = e_j e_k = e_1 (e_j e_k), likewise with e_1 in the middle or
 last place, and sigma(e_1 e_j) = sigma(e_j) = sigma(e_1) sigma(e_j), likewise
 for e_j e_1.  `check_axioms` then evaluates only the triples and pairs on
-indices 2..n (27 of 64 and 9 of 16 for n = 4).  Otherwise, and in the
-non-unital mode, it evaluates all of them, so a report of violations does not
-depend on the shortcut.
+indices 2..n (27 of 64 and 9 of 16 for n = 4).  Otherwise it evaluates all
+of them, so a report of violations does not depend on the shortcut.
 
 The tensor loops visit only the nonzero structure constants
 (`StructureConstants.terms`).  Transport contracts them with `_along`.
@@ -105,9 +102,6 @@ class StructureConstants:
                                 for plane in self.alpha)
         return self._terms
 
-    def gamma_matrix(self) -> Matrix:
-        return Matrix.from_rows(self.gamma, self.field)
-
     def multiply(self, x, y):
         """Coordinates of the product of two coordinate vectors."""
         lift, terms = self.field.lift, self.terms
@@ -121,9 +115,6 @@ class StructureConstants:
                 if not yj.is_zero():
                     _add_scaled(out, xi * yj, terms[i][j])
         return tuple(out.get(k, self.field.zero) for k in range(self.n))
-
-    def sigma(self, x):
-        return self.gamma_matrix().apply(x)
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
@@ -217,26 +208,25 @@ def _point(sc):
             [[peval(p, x, 0) for p in row] for row in gamma], den, eden, 0)
 
 
-def check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
+def check_axioms(sc: StructureConstants) -> dict:
     """Evaluate the defining equations, on the integer image if there is one;
     maps family number -> violated index tuples, in lexicographic order."""
     n = sc.n
     terms, gamma, du, ge, z = _point(sc)
-    report = {k: set() for k in ((1, 2, 3, 4, 5, 6) if unital else (3, 5, 6))}
-    if unital:
-        for i in range(n):
-            for j in range(n):
-                one = du if i == j else z
-                if not (terms[0][i].get(j, z) == one):
-                    report[1].add((i + 1, j + 1))
-                if not (terms[i][0].get(j, z) == one):
-                    report[2].add((i + 1, j + 1))
+    report = {k: set() for k in (1, 2, 3, 4, 5, 6)}
+    for i in range(n):
         for j in range(n):
-            if not (gamma[j][0] == (ge if j == 0 else z)):
-                report[4].add((j + 1,))
+            one = du if i == j else z
+            if not (terms[0][i].get(j, z) == one):
+                report[1].add((i + 1, j + 1))
+            if not (terms[i][0].get(j, z) == one):
+                report[2].add((i + 1, j + 1))
+    for j in range(n):
+        if not (gamma[j][0] == (ge if j == 0 else z)):
+            report[4].add((j + 1,))
     # a unit fixed by sigma implies the equations of families 3 and 5 that
     # involve it (module docstring)
-    idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
+    idx = range(0 if report[1] or report[2] or report[4] else 1, n)
     # associativity, coefficient of e_m: a nonzero a = alpha_ij^l enters the
     # triples (i, j, h) as (e_i e_j) e_h and (h, i, j) as e_h (e_i e_j)
     assoc = {}
@@ -299,7 +289,7 @@ def axioms_ok(report: dict) -> bool:
 def validate(sc: StructureConstants) -> StructureConstants:
     if sc.validated:
         return sc
-    report = check_axioms(sc, unital=True)
+    report = check_axioms(sc)
     if not axioms_ok(report):
         raise AxiomError(report)
     sc.validated = True
@@ -314,30 +304,17 @@ class GradedSplit:
 
 
 def grading_split(sc: StructureConstants) -> GradedSplit:
-    """Eigenbasis of the involution; checks the trace and determinant laws."""
-    n = sc.n
-    g = sc.gamma_matrix()
-    ident = Matrix.identity(n, sc.field)
-    if g * g != ident:
+    """Eigenbasis of the involution; in characteristic 0, gamma^2 = 1 implies the trace and determinant laws."""
+    n, g, one, zero = sc.n, sc.gamma, sc.field.one, sc.field.zero
+    square = _matmul(g, g, zero)
+    if any(not (square[r][c] == (one if r == c else zero)) for r in range(n) for c in range(n)):
         raise NotAnInvolution("gamma squared is not the identity")
-    plus_rows = [[g.at(r, c) - (sc.field.one if r == c else sc.field.zero) for c in range(n)] for r in range(n)]
-    minus_rows = [[g.at(r, c) + (sc.field.one if r == c else sc.field.zero) for c in range(n)] for r in range(n)]
-    basis0 = Matrix.from_rows(plus_rows, sc.field).kernel_basis()
-    basis1 = Matrix.from_rows(minus_rows, sc.field).kernel_basis()
-    i = len(basis0)
-    if i + len(basis1) != n:
-        raise NotAnInvolution("eigenspaces of gamma do not span")
-    tr = sc.field.zero
-    for r in range(n):
-        tr = tr + g.at(r, r)
-    if not (tr == 2 * i - n):
-        raise NotAnInvolution(f"trace of gamma is not 2*{i}-{n}")
-    if not (g.determinant() == (-1) ** (n - i)):
-        raise NotAnInvolution(f"det of gamma is not (-1)^({n}-{i})")
-    e1 = tuple(sc.field.one if k == 0 else sc.field.zero for k in range(n))
-    if sc.sigma(e1) != e1:
+    if any(not (g[r][0] == (one if r == 0 else zero)) for r in range(n)):
         raise NotAnInvolution("the unit is not even")
-    return GradedSplit(tuple(basis0), tuple(basis1), i)
+    # the kernels of gamma - 1 and gamma + 1
+    shifted = [[[x + s if r == c else x for c, x in enumerate(row)] for r, row in enumerate(g)] for s in (-one, one)]
+    basis0, basis1 = (Matrix.from_rows(rows, sc.field).kernel_basis() for rows in shifted)
+    return GradedSplit(tuple(basis0), tuple(basis1), len(basis0))
 
 
 def _fixes_unit(matrix: Matrix):
@@ -442,13 +419,6 @@ def transport_algebra(g: Matrix, alpha, field):
 def forget_grading(sc: StructureConstants):
     """The underlying algebra point: the alpha block alone."""
     return sc.alpha
-
-
-def with_trivial_grading(alpha, field) -> StructureConstants:
-    """Endow an algebra point with the grading whose involution is the identity."""
-    n = len(alpha)
-    ident = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
-    return validate(StructureConstants(n, alpha, ident, field))
 
 
 def cn_structure(n: int, i: int, field=FIELD_C8) -> StructureConstants:

@@ -3,25 +3,21 @@
 Coefficients are scalars (Cyclo8 or LambdaRat, freely mixed via coercion).
 TRat is the rational-function body of polys.RatFunc in t over Q(z)(l), the
 fraction field used while transporting structure constants along a variable
-basis change; the two operations it adds, and the ones that matter
-downstream, are the t-adic valuation at 0 and, when that is non-negative,
-evaluation at t = 0.  A TRat with denominator 1 plays the role of a plain
-polynomial in t.
+basis change; the operation it adds, and the one that matters downstream,
+is the t-adic valuation at 0 (certificates read a limit at t = 0 off the
+lowest coefficients, `certs._lowest`).  A TRat with denominator 1 plays the
+role of a plain polynomial in t.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclo import C8_ZERO, Cyclo8
+from .cyclo import Cyclo8
 from .polys import ONE_POLY, RatFunc, peval, porder
 from .scalars import LambdaRat
 
 ORDER_INF = math.inf
-
-
-class PoleAtZero(ArithmeticError):
-    """Raised when evaluating at t = 0 a rational function with a pole there."""
 
 
 class TRat(RatFunc):
@@ -41,17 +37,6 @@ class TRat(RatFunc):
         if not self.num:
             return ORDER_INF
         return porder(self.num) - porder(self.den)
-
-    def eval_at_zero(self):
-        """The limit value as t -> 0; defined exactly when the valuation is >= 0."""
-        if not self.num:
-            return C8_ZERO
-        a, b = porder(self.num), porder(self.den)
-        if a < b:
-            raise PoleAtZero(f"{self} has a pole at t = 0")
-        if a > b:
-            return C8_ZERO
-        return self.num[a] / self.den[b]
 
 
 TRAT_ZERO = TRat.coerce(0)

@@ -162,9 +162,9 @@ def test_criterion_7_property_suite(catalog):
         assert len(radical_basis(e.sc, basis0)) == len(square_zero_subspace_dim2(e.sc, basis0)), e.label
     # (c) involution is diagonalizable with the right trace and determinant
     for e in catalog.entries.values():
-        split = grading_split(e.sc)  # raises unless gamma^2 = 1 and the laws hold
+        split = grading_split(e.sc)  # raises unless gamma^2 = 1 and the unit is even
         i, n = split.dim0, e.n
-        g = e.sc.gamma_matrix()
+        g = Matrix.from_rows(e.sc.gamma, e.sc.field)
         tr = g.at(0, 0)
         for r in range(1, n):
             tr = tr + g.at(r, r)

@@ -136,8 +136,6 @@ def test_closed_set_table_error_is_the_detail(monkeypatch):
 def test_underlying_requires_table(catalog):
     cert = ObstructionCert("(1|1)", "(13|1)", "UNDERLYING")
     assert verify_obstruction(cert, catalog).status == UNSUPPORTED
-    table = {("1", "13"): True}
-    assert verify_obstruction(cert, catalog, table).verified
 
 
 def test_unknown_label(catalog):

@@ -56,6 +56,18 @@ def test_check_bad_label(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_check_underlying_is_unsupported(tmp_path, capsys):
+    # no algebra-level table can be supplied, so the record is unsupported,
+    # which does not fail the run
+    path = tmp_path / "underlying.json"
+    path.write_text(json.dumps({"certs": [{
+        "kind": "obstruction", "source": "(1|1)", "target": "(13|1)", "method": "UNDERLYING"}]}))
+    code, out = run(capsys, "check", str(path))
+    assert code == 0
+    assert out == (f" UNSUPPORTED  {path}: (1|1) -/-> (13|1) (UNDERLYING)  unsupported[underlying]: "
+                   "no external algebra-degeneration table supplied\n[check] 1 unsupported; exit 0\n")
+
+
 def test_family_limit_with_unknown_source_fails_only_itself(tmp_path, capsys):
     records = _shipped_records("family_limits")
     records[0]["source"] = "(18;x|1)"

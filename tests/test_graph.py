@@ -3,8 +3,9 @@ from collections import Counter
 import pytest
 
 import superdegen.catalog as catalog_module
+import superdegen.graph as graph_module
 from superdegen.catalog import CLOSED_ORBIT_LABEL, load_catalog
-from superdegen.certs import ObstructionCert, load_cert_file
+from superdegen.certs import VERIFIED, ObstructionCert, Outcome, load_cert_file
 from superdegen.graph import (ASSERTED_GENERIC, ContradictionFound, build_graph, dot_diagram,
                               generic_structures, json_diagram, load_default_graph, load_undetermined)
 
@@ -50,7 +51,8 @@ def test_undetermined_pairs_are_the_registered_ones(graph):
 
 def test_every_node_reaches_the_closed_orbit(graph):
     for label, node in graph.nodes.items():
-        assert graph.reaches(label, CLOSED_ORBIT_LABEL[node.component]), label
+        target = CLOSED_ORBIT_LABEL[node.component]
+        assert label == target or (label, target) in graph.edges, label
 
 
 def test_edges_stay_within_components(graph):
@@ -76,24 +78,17 @@ def test_no_edge_between_same_algebra_gradings(graph):
         assert fam_s != fam_t, (s, t)
 
 
-def test_contradiction_aborts(catalog):
+def test_contradiction_aborts(catalog, monkeypatch):
+    # (7|1) -> (8|1) is a verified edge; an obstruction of the same pair that
+    # counts as verified must abort assembly
     specs = load_cert_file("spec_dim3") + load_cert_file("spec_dim2")
     fams = load_cert_file("family_limits")
-    # (7|1) -> (8|1) is a verified edge; a fabricated "obstruction" for the
-    # same pair must abort assembly (method A does hold for this pair's
-    # source... use OD which does not, so craft a pair that verifies:
-    # (3|1) in A and (8|1)... (8|1) is in A too; use B: (13|1) in B, (14|2) in B)
-    bogus = ObstructionCert("(7|1)", "(8|1)", "DIM0")
-    # DIM0 fails (same component) and would be rejected, so use a set method
-    # that genuinely verifies on a pair that also has an edge:
-    # (16|3) -> (8|3) is an edge; is (16|3) in A? no (odd square is XY).
-    # (11|2) -> (12|1) is an edge; (11|2) in A, (12|1) in A -> no.
-    # (3|2) -> (7|2): (3|2) in A, (7|2)? odd part {Y, XY} squares to zero -> in A.
-    # Fall back to a synthetic always-true method: UNDERLYING with a table.
     bogus = ObstructionCert("(7|1)", "(8|1)", "UNDERLYING")
+    real = graph_module.verify_cert
+    monkeypatch.setattr(graph_module, "verify_cert",
+                        lambda cert, cat: Outcome(VERIFIED) if cert is bogus else real(cert, cat))
     with pytest.raises(ContradictionFound):
-        build_graph(catalog, specs, fams, [bogus], load_undetermined(),
-                    underlying={("7", "8"): True})
+        build_graph(catalog, specs, fams, [bogus], load_undetermined())
 
 
 def test_dot_and_json_are_deterministic(graph):

@@ -14,11 +14,20 @@ from superdegen.certs import (NOT_VERIFIED, VERIFIED, Outcome, SpecializationCer
 from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular
 from superdegen.scalars import LAMBDA, LambdaRat
-from superdegen.structure import (AxiomError, NotInGroup, StructureConstants, axioms_ok,
+from superdegen.structure import (AxiomError, NotAnInvolution, NotInGroup, StructureConstants, axioms_ok,
                                   check_axioms, cn_structure, forget_grading, grading_split,
                                   group_element, moved_numerators, random_group_element, transport,
-                                  transport_algebra, validate, with_trivial_grading)
+                                  transport_algebra, validate)
 from superdegen.tpoly import ORDER_INF, T_VAR, TRat
+
+from helpers import eval_at_zero
+
+
+def _with_trivial_grading(alpha, field):
+    """The algebra point alpha with the grading whose involution is the identity."""
+    n = len(alpha)
+    ident = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
+    return validate(StructureConstants(n, alpha, ident, field))
 
 
 def test_field_itself_passes():
@@ -44,18 +53,42 @@ def test_perturbed_constants_fail_associativity(catalog):
         validate(bad)
 
 
-def test_nonunital_mode_checks_three_families(catalog):
-    sc = catalog.get("(7|2)")
-    report = check_axioms(sc, unital=False)
-    assert set(report) == {3, 5, 6}
-    assert axioms_ok(report)
-
-
 def test_grading_split_examples(catalog):
     assert grading_split(catalog.get("(7|2)")).dim0 == 2
     assert grading_split(catalog.get("(9|3)")).dim0 == 1
-    triv = with_trivial_grading(catalog.get("(1|0)").alpha, FIELD_C8)
+    triv = _with_trivial_grading(catalog.get("(1|0)").alpha, FIELD_C8)
     assert grading_split(triv).dim0 == 4
+
+
+@pytest.mark.parametrize("label", ["(7|2)", "(9|3)", "(18;l|1)"])
+def test_grading_split_pins_its_two_messages(catalog, label):
+    # a shifted diagonal entry of gamma breaks gamma^2 = 1, and so does
+    # sigma(e_1) shifted by an even e_2, which also moves the unit: the square
+    # is checked first.  sigma(e_1) shifted by the odd e_4, or -gamma, keeps
+    # gamma^2 = 1 and moves the unit
+    sc = catalog.get(label)
+    even = [(1, 0)] if sc.gamma[1][1] == 1 else []
+    for index in [(1, 1)] + even:
+        with pytest.raises(NotAnInvolution, match="^gamma squared is not the identity$"):
+            grading_split(_perturbed(sc, "gamma", index, Cyclo8(1)))
+    for bad in (_perturbed(sc, "gamma", (3, 0), Cyclo8(1)),
+                StructureConstants(sc.n, sc.alpha, [[-x for x in row] for row in sc.gamma], sc.field)):
+        with pytest.raises(NotAnInvolution, match="^the unit is not even$"):
+            grading_split(bad)
+
+
+def test_grading_split_trace_and_determinant_laws(catalog, benchmark_points):
+    # gamma^2 = 1 alone decides the split: on every entry and on one pass of
+    # each fuzz workload (over Q(z) and Q(z)(l)) the eigenspaces span, the
+    # trace is 2 dim0 - n and the determinant (-1)^(n - dim0)
+    points = [catalog.entry(label).sc for label in catalog.labels()]
+    points += benchmark_points("fuzz-fixed", 101) + benchmark_points("fuzz-family", 101)
+    assert {sc.field for sc in points} == {FIELD_C8, FIELD_LRAT}
+    for sc in points:
+        split, n = grading_split(sc), sc.n
+        assert split.dim0 + len(split.basis1) == n
+        assert sum(sc.gamma[r][r] for r in range(1, n)) + sc.gamma[0][0] == 2 * split.dim0 - n
+        assert Matrix.from_rows(sc.gamma, sc.field).determinant() == (-1) ** (n - split.dim0)
 
 
 def test_transport_identity_and_group_guard(catalog):
@@ -117,10 +150,10 @@ def test_variety_is_stable_under_transport(catalog):
 def test_forget_and_embed_round_trip(catalog):
     sc = catalog.get("(13|1)")
     alpha = forget_grading(sc)
-    back = with_trivial_grading(alpha, FIELD_C8)
+    back = _with_trivial_grading(alpha, FIELD_C8)
     assert back.alpha == alpha
     assert grading_split(back).dim0 == 4
-    assert back.gamma_matrix().determinant() == 1
+    assert Matrix.from_rows(back.gamma, back.field).determinant() == 1
 
 
 def test_embed_equivariance(catalog):
@@ -129,8 +162,8 @@ def test_embed_equivariance(catalog):
     alpha = catalog.get("(10|0)").alpha
     for _ in range(5):
         g = random_group_element(rng, 4)
-        left = with_trivial_grading(transport_algebra(g, alpha, FIELD_C8), FIELD_C8)
-        right = transport(g, with_trivial_grading(alpha, FIELD_C8))
+        left = _with_trivial_grading(transport_algebra(g, alpha, FIELD_C8), FIELD_C8)
+        right = transport(g, _with_trivial_grading(alpha, FIELD_C8))
         assert left == right
 
 
@@ -150,7 +183,7 @@ def test_forget_family_member_matches_trivially_graded(catalog):
 def test_cn_structure_examples(catalog):
     assert cn_structure(4, 1) == catalog.get("(9|3)")
     assert grading_split(cn_structure(4, 2)).dim0 == 2
-    triv = with_trivial_grading(cn_structure(4, 4).alpha, FIELD_C8)
+    triv = _with_trivial_grading(cn_structure(4, 4).alpha, FIELD_C8)
     assert cn_structure(4, 4) == triv
     with pytest.raises(ValueError):
         cn_structure(4, 5)
@@ -162,26 +195,25 @@ def test_forget_of_closed_orbit_is_square_zero(catalog):
 
 # ------------------------------------------------------- oracles for the kernel
 
-def _reference_check_axioms(sc: StructureConstants, unital: bool = True) -> dict:
+def _reference_check_axioms(sc: StructureConstants) -> dict:
     """The dense loops over every index that `check_axioms` replaced, kept as its oracle."""
     n, alpha, gamma = sc.n, sc.alpha, sc.gamma
     z = sc.field.zero
     one = sc.field.one
-    report = {k: [] for k in ((1, 2, 3, 4, 5, 6) if unital else (3, 5, 6))}
+    report = {k: [] for k in (1, 2, 3, 4, 5, 6)}
 
     def delta(a, b):
         return one if a == b else z
 
-    if unital:
-        for i in range(n):
-            for j in range(n):
-                if not (alpha[0][i][j] == delta(i, j)):
-                    report[1].append((i + 1, j + 1))
-                if not (alpha[i][0][j] == delta(i, j)):
-                    report[2].append((i + 1, j + 1))
+    for i in range(n):
         for j in range(n):
-            if not (gamma[j][0] == delta(j, 0)):
-                report[4].append((j + 1,))
+            if not (alpha[0][i][j] == delta(i, j)):
+                report[1].append((i + 1, j + 1))
+            if not (alpha[i][0][j] == delta(i, j)):
+                report[2].append((i + 1, j + 1))
+    for j in range(n):
+        if not (gamma[j][0] == delta(j, 0)):
+            report[4].append((j + 1,))
     # associativity: (e_i e_j) e_k = e_i (e_j e_k), coefficient of e_m
     for i in range(n):
         for j in range(n):
@@ -277,7 +309,7 @@ def _reference_transport(g: Matrix, sc: StructureConstants, field=None) -> Struc
                     if not (nk.is_zero() or Bij[l].is_zero()):
                         acc = acc + nk * Bij[l]
                 alpha[i][j][k] = acc
-    gmat = nu * sc.gamma_matrix().map_entries(field.lift, field) * g
+    gmat = nu * Matrix.from_rows(sc.gamma, sc.field).map_entries(field.lift, field) * g
     return StructureConstants(n, alpha, gmat.to_lists(), field)
 
 
@@ -295,8 +327,7 @@ def _perturbed(sc, which, index, delta):
 
 
 def _assert_reports_agree(sc):
-    for unital in (True, False):
-        assert check_axioms(sc, unital) == _reference_check_axioms(sc, unital)
+    assert check_axioms(sc) == _reference_check_axioms(sc)
 
 
 def test_check_axioms_matches_reference_on_catalog(catalog):
@@ -352,7 +383,6 @@ def test_pinned_breaks_match_reference(catalog, label, which, index, family):
     report = check_axioms(bad)
     assert report[family]
     assert report == _reference_check_axioms(bad)
-    assert check_axioms(bad, unital=False) == _reference_check_axioms(bad, unital=False)
 
 
 # where a perturbation lands: on the unit's products (families 1, 2), on
@@ -400,14 +430,14 @@ def test_multiply_matches_the_dense_formula(catalog):
 
 # ------------------------------------------ family 5 against the _along formula
 
-def _reference_family5(sc, unital=True):
+def _reference_family5(sc):
     """Family 5 as the three `_along` tensors the one-pass check replaced:
     E * sigma(e_i e_j) and sigma(e_i) sigma(e_j), compared plane by plane
     on the indices `check_axioms` evaluates."""
-    report = check_axioms(sc, unital)
+    report = check_axioms(sc)
     terms, gamma, _, ge, z = structure._point(sc)
     n = sc.n
-    idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
+    idx = range(0 if report[1] or report[2] or report[4] else 1, n)
     lhs = structure._along(terms, [[ge * x for x in row] for row in gamma], 2)
     rhs = structure._along(structure._along(terms, gamma, 0), gamma, 1)
     return tuple(sorted((i + 1, j + 1, m + 1) for i in idx for j in idx for m in range(n)
@@ -415,8 +445,7 @@ def _reference_family5(sc, unital=True):
 
 
 def _assert_family5_agrees(sc):
-    for unital in (True, False):
-        assert check_axioms(sc, unital)[5] == _reference_family5(sc, unital)
+    assert check_axioms(sc)[5] == _reference_family5(sc)
 
 
 def test_family5_matches_the_along_formula_on_entries_and_fuzz_points(catalog, benchmark_points):
@@ -458,14 +487,14 @@ def test_family5_matches_the_along_formula_with_z_parts(catalog):
 
 # ------------------------- associativity against the loop over the triples
 
-def _reference_family3(sc, unital=True):
+def _reference_family3(sc):
     """Family 3 as the loop over every triple (i, j, k) of the indices
     `check_axioms` evaluates, on the same point (`structure._point`), that
     the one-pass dict replaced: (e_i e_j) e_k - e_i (e_j e_k) per triple."""
-    report = check_axioms(sc, unital)
+    report = check_axioms(sc)
     terms = structure._point(sc)[0]
     n = sc.n
-    idx = range(1 if unital and not (report[1] or report[2] or report[4]) else 0, n)
+    idx = range(0 if report[1] or report[2] or report[4] else 1, n)
     out = set()
     for i in idx:
         for j in idx:
@@ -480,8 +509,7 @@ def _reference_family3(sc, unital=True):
 
 
 def _assert_family3_agrees(sc):
-    for unital in (True, False):
-        assert check_axioms(sc, unital)[3] == _reference_family3(sc, unital)
+    assert check_axioms(sc)[3] == _reference_family3(sc)
 
 
 def test_associativity_matches_the_triple_loop_on_entries_and_fuzz_points(catalog, benchmark_points):
@@ -494,7 +522,7 @@ def test_associativity_matches_the_triple_loop_on_entries_and_fuzz_points(catalo
     with _paths() as ran:
         for sc in points:
             _assert_family3_agrees(sc)
-    assert ran["ints"] >= 4 * (61 + 2 * 60) and ran["scalars"] >= 4 * 2 * 116
+    assert ran["ints"] >= 2 * (61 + 2 * 60) and ran["scalars"] >= 2 * 2 * 116
 
 
 def _on_image(sc):
@@ -618,7 +646,7 @@ def test_every_entry_moves_on_its_path_as_the_reference(catalog):
                 _assert_same_point(moved, _reference_transport(g, sc))
                 _assert_reports_agree(moved)
                 assert transport_algebra(g, sc.alpha, sc.field) == moved.alpha
-    assert ran == {"image": 12, "field": 232, "ints": 12, "scalars": 232}
+    assert ran == {"image": 12, "field": 232, "ints": 6, "scalars": 116}
 
 
 def test_fuzz_points_move_and_validate_as_the_reference(catalog):
@@ -648,7 +676,7 @@ def test_z_parts_and_l_dependent_changes_keep_the_field(catalog):
         again = transport(random_group_element(random.Random(3), 4, FIELD_LRAT), moved, revalidate=False)
         _assert_same_point(again, _reference_transport(random_group_element(random.Random(3), 4, FIELD_LRAT), moved))
         _assert_reports_agree(again)
-        assert ran == {"field": 2, "scalars": 3}
+        assert ran == {"field": 2, "scalars": 2}
         # an l-dependent g moves over the field, and the point it makes lies
         # in Q[l] (degree 3 here), so it is checked and moved on its image
         g = _unipotent([(1, 3, L), (2, 1, -L), (3, 2, 2 * L - 1)])
@@ -657,18 +685,18 @@ def test_z_parts_and_l_dependent_changes_keep_the_field(catalog):
         assert max(len(x.num) for plane in moved.alpha for row in plane for x in row) >= 4
         h = _rational_group_element(random.Random(4), FIELD_LRAT)
         _assert_same_point(transport(h, moved), _reference_transport(h, moved))
-        assert ran == {"field": 3, "image": 1, "scalars": 3, "ints": 2}
+        assert ran == {"field": 3, "image": 1, "scalars": 2, "ints": 2}
         # a denominator in l: over the field
         g = _unipotent([(1, 2, 1 / (1 - L)), (0, 3, L)])
         moved = transport(g, sc, revalidate=False)
         _assert_same_point(moved, _reference_transport(g, sc))
         _assert_reports_agree(moved)
-        assert ran == {"field": 4, "image": 1, "scalars": 5, "ints": 2}
+        assert ran == {"field": 4, "image": 1, "scalars": 3, "ints": 2}
         # a Q(z) point moved by a g with a z-part
         fixed = catalog.get("(10|1)")
         g = Matrix.from_rows([[1, 0, 0, 0], [0, 1, ZETA, 0], [0, 0, 1, 0], [0, 1, 0, 1]], FIELD_C8)
         _assert_same_point(transport(g, fixed), _reference_transport(g, fixed))
-        assert ran == {"field": 5, "image": 1, "scalars": 6, "ints": 2}
+        assert ran == {"field": 5, "image": 1, "scalars": 4, "ints": 2}
 
 
 def _falling(d, c=1):
@@ -690,7 +718,7 @@ def test_shift_vanishing_at_the_first_points_matches_reference(catalog, place):
             for point in (sc, transport(random_group_element(rng, 4, FIELD_LRAT), sc)):
                 which, index = _PLACES[place](rng.randint)
                 _assert_reports_agree(_perturbed(point, which, index, _falling(1, rng.choice((1, -2, Cyclo8(1) / 3)))))
-    assert ran["ints"] == 3 + 12
+    assert ran["ints"] == 3 + 6
 
 
 def test_violation_of_degree_3d_seen_only_at_the_last_point():
@@ -782,7 +810,7 @@ def _reference_verify_specialization(cert, catalog):
     for where, e in blocks:
         if e.order_at_zero() < 0:
             return Outcome(NOT_VERIFIED, "regularity", f"{where} = {e} has a pole at t = 0")
-    values = [e.eval_at_zero() for _, e in blocks]
+    values = [eval_at_zero(e) for _, e in blocks]
     limit_alpha = [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
     limit_gamma = [values[n ** 3 + r * n:n ** 3 + (r + 1) * n] for r in range(n)]
     field = FIELD_LRAT if any(isinstance(x, LambdaRat) for x in values[:n ** 3]) else FIELD_C8
@@ -830,7 +858,7 @@ def test_numerators_give_the_reference_valuations_and_limits(catalog):
             assert (ORDER_INF if not num else num.order_at_zero() - order) == e.order_at_zero()
             if e.order_at_zero() >= 0:
                 value, expected = (_lowest(num) / low if num and num.order_at_zero() == order else Cyclo8(0),
-                                   e.eval_at_zero())
+                                   eval_at_zero(e))
                 assert (value, type(value), str(value)) == (expected, type(expected), str(expected))
 
 
