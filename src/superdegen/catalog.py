@@ -32,7 +32,7 @@ from .cyclo import Cyclo8
 from .invariants import closed_set_member, fingerprint, stabilizer_dim
 from .linalg import FIELD_C8, FIELD_LRAT, Matrix, integer_polys
 from .literals import ParseError, parse_scalar
-from .scalars import LambdaRat, scalar_substitute
+from .scalars import LambdaRat
 from .structure import (GradedSplit, NotInGroup, StructureConstants, grading_split, group_element,
                         transport_algebra, validate)
 
@@ -242,10 +242,13 @@ class Catalog:
 
     @staticmethod
     def _substituted(e: CatalogEntry, value: Cyclo8) -> StructureConstants:
-        n = e.n
-        alpha = [[[scalar_substitute(x, value) for x in row] for row in plane] for plane in e.sc.alpha]
-        gamma = [[scalar_substitute(x, value) for x in row] for row in e.sc.gamma]
-        return validate(StructureConstants(n, alpha, gamma, FIELD_C8))
+        """The family member at l = value; a pole of a constant there is a ForbiddenParameter."""
+        try:
+            alpha = [[[x.substitute(value) for x in row] for row in plane] for plane in e.sc.alpha]
+            gamma = [[x.substitute(value) for x in row] for row in e.sc.gamma]
+        except ZeroDivisionError as exc:
+            raise ForbiddenParameter(f"family parameter {value} is excluded for {e.label}: {exc}") from exc
+        return validate(StructureConstants(e.n, alpha, gamma, FIELD_C8))
 
     def coincidence_check(self):
         """The boundary members of the families land on catalog orbits:

@@ -48,7 +48,10 @@ detail strings follow the order limit, post-change, mismatch.
 
 A family-limit certificate additionally substitutes a t-rational function
 for the family parameter before running the same pipeline, witnessing that
-the target lies in the closure of the union of the family's orbits.
+the target lies in the closure of the union of the family's orbits.  The
+pre-change and the source constants are carried over by
+`LambdaRat.substitute`; a pole there, as of 1/(l-2) at l := 2, is the
+verdict not_verified[substitution].
 
 An obstruction certificate claims a NON-degeneration by one of the methods:
   OD    orbit dimension does not drop
@@ -78,7 +81,7 @@ from .polys import porder
 from .scalars import LambdaRat
 from .structure import (NotInGroup, StructureConstants, _moved, group_element, moved_numerators, transport,
                         validate)
-from .tpoly import TRat, substitute_lambda
+from .tpoly import TRat
 
 VERIFIED = "verified"
 NOT_VERIFIED = "not_verified"
@@ -142,19 +145,6 @@ class ObstructionCert:
         return self.name or f"{self.source} -/-> {self.target} ({self.method})"
 
 
-def _lift_matrix_to_trat(m: Matrix, lam: TRat | None) -> Matrix:
-    if lam is None:
-        return m.map_entries(TRat.coerce, FIELD_TRAT)
-    return m.map_entries(lambda x: substitute_lambda(x, lam), FIELD_TRAT)
-
-
-def _sc_over_trat(sc: StructureConstants, lam: TRat | None) -> StructureConstants:
-    conv = (lambda x: substitute_lambda(x, lam)) if lam is not None else TRat.coerce
-    alpha = [[[conv(x) for x in row] for row in plane] for plane in sc.alpha]
-    gamma = [[conv(x) for x in row] for row in sc.gamma]
-    return StructureConstants(sc.n, alpha, gamma, FIELD_TRAT, validated=sc.validated)
-
-
 def _lowest(x: TRat):
     """The lowest coefficient of the expansion of the nonzero x at t = 0."""
     lead = x.num[porder(x.num)]
@@ -216,22 +206,24 @@ def _decoded(b: int, v: int) -> TRat:
     return TRat([Cyclo8(x) for x in coeffs])
 
 
-def verify_specialization(cert: SpecializationCert, catalog: Catalog,
-                          source_sc: StructureConstants | None = None,
-                          target_sc: StructureConstants | None = None) -> Outcome:
-    """Run the three verification stages; source/target constants may be
-    passed directly to exercise the engine outside the catalog."""
+def verify_specialization(cert: SpecializationCert, catalog: Catalog) -> Outcome:
+    """Run the three verification stages on the catalog's constants."""
     try:
-        src = source_sc if source_sc is not None else catalog.get(cert.source)
-        tgt = target_sc if target_sc is not None else catalog.get(cert.target)
+        src, tgt = catalog.get(cert.source), catalog.get(cert.target)
     except UnknownLabel as exc:
         return Outcome(NOT_VERIFIED, "labels", str(exc))
+    return _verify(cert, src, tgt)
+
+
+def _verify(cert: SpecializationCert, src: StructureConstants, tgt: StructureConstants) -> Outcome:
+    """The three stages, from src to tgt."""
     n = src.n
-    lam = cert.lambda_sub
+    lam, conv = cert.lambda_sub, TRat.coerce
     if lam is not None:
         if lam.is_constant() and any(lam.constant_value() == bad for bad in FORBIDDEN_LAMBDA):
             return Outcome(NOT_VERIFIED, "substitution",
                            "the substituted parameter is identically an excluded value")
+        conv = lambda x: LambdaRat.coerce(x).substitute(lam)
     # structural checks on the curve itself
     one = FIELD_TRAT.one
     zero = FIELD_TRAT.zero
@@ -253,8 +245,16 @@ def verify_specialization(cert: SpecializationCert, catalog: Catalog,
             return Outcome(NOT_VERIFIED, "pre-change", str(exc))
     # stage (ii): transport and regularity at t = 0 (module docstring)
     if image is None:
-        composed = cert.curve if pre is None else _lift_matrix_to_trat(pre, lam) * cert.curve
-        nums, gnums, det = moved_numerators(composed, _sc_over_trat(src, lam), FIELD_TRAT)
+        # with no parameter substituted, moved_numerators lifts src itself
+        try:
+            lifted = None if pre is None else pre.map_entries(conv, FIELD_TRAT)
+            if lam is not None:
+                src = StructureConstants(n, [[[conv(x) for x in row] for row in plane] for plane in src.alpha],
+                                         [[conv(x) for x in row] for row in src.gamma], FIELD_TRAT)
+        except ZeroDivisionError as exc:
+            return Outcome(NOT_VERIFIED, "substitution", str(exc))
+        composed = cert.curve if lifted is None else lifted * cert.curve
+        nums, gnums, det = moved_numerators(composed, src, FIELD_TRAT)
         scales, order, lowest, decoded = (1, 1), TRat.order_at_zero, _lowest, TRat.coerce
     else:
         b, nums, gnums, det, *scales = image

@@ -3,12 +3,14 @@
 A "scalar" anywhere in this package is either a Cyclo8 or a LambdaRat; the
 two coerce automatically in mixed arithmetic, with Cyclo8 promoting into
 LambdaRat.  LambdaRat is the rational-function body of polys.RatFunc in the
-family parameter l with Q(z) coefficients, plus evaluation at a value of l.
+family parameter l with Q(z) coefficients, plus `substitute`, the one place
+that puts a value in for l: a Cyclo8 for a family member, or a TRat for a
+family limit.
 """
 
 from __future__ import annotations
 
-from .cyclo import C8_ZERO, Cyclo8
+from .cyclo import Cyclo8
 from .polys import ONE_POLY, RatFunc, peval
 
 
@@ -21,19 +23,16 @@ class LambdaRat(RatFunc):
     def __init__(self, num, den=ONE_POLY):
         self._normalise(num, den)
 
-    def substitute(self, value: Cyclo8) -> Cyclo8:
-        """Evaluate at l = value; the denominator must not vanish there."""
-        d = peval(self.den, value, C8_ZERO)
+    def substitute(self, value):
+        """Evaluate at l = value, a Cyclo8 or a TRat; the result lies in
+        value's field.  ZeroDivisionError when the denominator vanishes there."""
+        zero = 0 * value
+        d = peval(self.den, value, zero)
         if d.is_zero():
-            raise ZeroDivisionError(f"denominator of {self} vanishes at the substituted value")
-        return peval(self.num, value, C8_ZERO) * d.inverse()
+            raise ZeroDivisionError(f"{self} has a pole at l = {value}")
+        return peval(self.num, value, zero) / d
 
 
 LRAT_ZERO = LambdaRat.coerce(0)
 LRAT_ONE = LambdaRat.coerce(1)
 LAMBDA = LambdaRat.var()
-
-
-def scalar_substitute(x, value: Cyclo8) -> Cyclo8:
-    """Evaluate a scalar at l = value (a no-op for plain Cyclo8)."""
-    return x if isinstance(x, Cyclo8) else x.substitute(value)

@@ -6,7 +6,8 @@ fraction field used while transporting structure constants along a variable
 basis change; the operation it adds, and the one that matters downstream,
 is the t-adic valuation at 0 (certificates read a limit at t = 0 off the
 lowest coefficients, `certs._lowest`).  A TRat with denominator 1 plays the
-role of a plain polynomial in t.
+role of a plain polynomial in t.  A family limit puts a TRat in for the
+family parameter l with `LambdaRat.substitute`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .cyclo import Cyclo8
-from .polys import ONE_POLY, RatFunc, peval, porder
+from .polys import ONE_POLY, RatFunc, porder
 from .scalars import LambdaRat
 
 ORDER_INF = math.inf
@@ -42,14 +43,3 @@ class TRat(RatFunc):
 TRAT_ZERO = TRat.coerce(0)
 TRAT_ONE = TRat.coerce(1)
 T_VAR = TRat.var()
-
-
-def substitute_lambda(x, lam: TRat) -> TRat:
-    """Map a scalar into Q(z)(t) by the substitution l := lam(t)."""
-    if isinstance(x, (int, Cyclo8)):
-        return TRat.coerce(x)
-    num = peval(x.num, lam, TRAT_ZERO)
-    den = peval(x.den, lam, TRAT_ZERO)
-    if den.is_zero():
-        raise ZeroDivisionError(f"denominator of {x} vanishes identically under the substitution")
-    return num / den

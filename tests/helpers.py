@@ -1,9 +1,15 @@
 """Helpers shared by several test modules and used by no program: the value
 at t = 0 of a rational function in t, which the reference verifier in
-test_structure reads its limits with."""
+test_structure reads its limits with, and the lift of a certificate's
+pre-change and source constants into Q(z)(l)(t), with l := lambda(t) for a
+family limit, which the references transport."""
 
 from superdegen.cyclo import C8_ZERO
+from superdegen.linalg import FIELD_TRAT
 from superdegen.polys import porder
+from superdegen.scalars import LambdaRat
+from superdegen.structure import StructureConstants
+from superdegen.tpoly import TRat
 
 
 class PoleAtZero(ArithmeticError):
@@ -20,3 +26,18 @@ def eval_at_zero(x):
     if a > b:
         return C8_ZERO
     return x.num[a] / x.den[b]
+
+
+def over_trat(x, lam):
+    """The scalar x in Q(z)(l)(t), with l := lam unless lam is None."""
+    return TRat.coerce(x) if lam is None else LambdaRat.coerce(x).substitute(lam)
+
+
+def matrix_over_trat(m, lam):
+    return m.map_entries(lambda x: over_trat(x, lam), FIELD_TRAT)
+
+
+def sc_over_trat(sc, lam):
+    alpha = [[[over_trat(x, lam) for x in row] for row in plane] for plane in sc.alpha]
+    gamma = [[over_trat(x, lam) for x in row] for row in sc.gamma]
+    return StructureConstants(sc.n, alpha, gamma, FIELD_TRAT)

@@ -3,6 +3,8 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import superdegen.catalog as catalog_module
 import superdegen.certs as certs_module
@@ -82,6 +84,52 @@ def test_family_limit_forbidden_constant(catalog):
     rec = {"kind": "family_limit", "source": "(18;l|1)", "target": "(16|1)", "lambda": "1"}
     out = verify_cert(cert_from_record(rec), catalog)
     assert not out.verified and out.stage == "substitution"
+
+
+def test_a_pole_of_the_source_constants_is_a_substitution_verdict(catalog):
+    # (18;l|2) with the constant 1/(l-2): moved by diag(1, 1/(l-2), 1/(l-2), 1/(l-2))
+    from superdegen.linalg import FIELD_LRAT
+    from superdegen.scalars import LAMBDA
+    from superdegen.structure import transport
+    d = 1 / (LAMBDA - 2)
+    g = Matrix.from_rows([[(1 if r == 0 else d) if r == c else 0 for c in range(4)] for r in range(4)], FIELD_LRAT)
+    src = transport(g, catalog.get("(18;l|2)"))
+    rec = {"kind": "family_limit", "source": "(18;l|2)", "target": "(16|3)", "lambda": "2"}
+    out = certs_module._verify(cert_from_record(rec), src, catalog.get("(16|3)"))
+    assert out == Outcome(NOT_VERIFIED, "substitution", "(1)/(-2+l) has a pole at l = 2")
+
+
+_PRE_LITERALS = ("0", "1", "-1", "2", "l", "1/l", "1/(l-2)", "1/(l-5)", "l-2", "(l+1)/(l-1)")
+
+
+def _first_column_e1(cells):
+    """The 16 row-major literals with first column e_1 and the 12 others from cells."""
+    return [x for r in range(4) for x in ["1" if r == 0 else "0", *cells[3 * r:3 * r + 3]]]
+
+
+_family_limit_records = st.fixed_dictionaries({
+    "kind": st.just("family_limit"),
+    "source": st.sampled_from(("(18;l|0)", "(18;l|1)", "(18;l|2)")),
+    "target": st.sampled_from(("(16|0)", "(16|1)", "(16|3)", "(7|2)", "(7|3)")),
+    "lambda": st.sampled_from(("t", "1+t", "1/t", "t^2", "2+t", "5+t", "2", "5", "1/2", "-1", "z")),
+    "pre_change": st.lists(st.sampled_from(_PRE_LITERALS), min_size=12, max_size=12).map(_first_column_e1),
+    "curve": st.lists(st.sampled_from(("0", "0", "1", "t", "t^2")), min_size=12, max_size=12).map(_first_column_e1),
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_family_limit_records)
+@example({"kind": "family_limit", "source": "(18;l|0)", "target": "(16|0)", "lambda": "5",
+          "pre_change": _first_column_e1(["0", "0", "0", "1/(l-5)", "0", "0", "0", "1", "0", "0", "0", "1"]),
+          "curve": _first_column_e1(["0", "0", "0", "t", "0", "0", "0", "t", "0", "0", "0", "t"])})
+def test_family_limits_give_an_outcome_and_never_raise(catalog, rec):
+    # a substitution verdict is the excluded -1 or a pre-change entry with a
+    # pole at a constant lambda, as 1/(l-2) at 2: the shipped families'
+    # constants are polynomials in l
+    out = verify_cert(cert_from_record(rec), catalog)
+    assert isinstance(out, Outcome)
+    if out.stage == "substitution":
+        assert rec["lambda"] == "-1" or out.detail.endswith(f"has a pole at l = {rec['lambda']}")
 
 
 def test_shipped_specializations(catalog):
@@ -192,7 +240,7 @@ def test_nonhomogeneous_dimension2_vector():
     curve = Matrix.from_rows([[1, t], [0, t]], FIELD_TRAT)
     cert = SpecializationCert(source="src", target="tgt", pre_change=None,
                               curve=curve, post_change=None)
-    out = verify_specialization(cert, None, source_sc=source, target_sc=target)
+    out = certs_module._verify(cert, source, target)
     assert out.verified
 
 

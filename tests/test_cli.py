@@ -68,6 +68,79 @@ def test_check_underlying_is_unsupported(tmp_path, capsys):
                    "no external algebra-degeneration table supplied\n[check] 1 unsupported; exit 0\n")
 
 
+# one record each, (record, its description, its verdict): a verdict no
+# shipped file reaches, and the pole of 1/(l-2) at l := 2
+_ONE_RECORD_VERDICTS = [
+    ({"kind": "specialization", "source": "(9|1)", "target": "(9|2)"}, "(9|1) -> (9|2)",
+     "limit-mismatch]: involution constants differ at t = 0"),
+    ({"kind": "obstruction", "source": "(9|1)", "target": "(9|2)", "method": "XYZ"}, "(9|1) -/-> (9|2) (XYZ)",
+     "method]: unknown method 'XYZ'"),
+    ({"kind": "obstruction", "source": "(9|1)", "target": "(16|1)", "method": "OD"}, "(9|1) -/-> (16|1) (OD)",
+     "component]: methods other than DIM0 compare within one component"),
+    ({"kind": "obstruction", "source": "(9|1)", "target": "(9|1)", "method": "OD"}, "(9|1) -/-> (9|1) (OD)",
+     "orbit-dim]: trivial pair"),
+    ({"kind": "family_limit", "source": "(9|1)", "target": "(9|2)", "lambda": "t"}, "(9|1) ~> (9|2)",
+     "substitution]: (9|1) is not a family"),
+    ({"kind": "specialization", "source": "(9|1)", "target": "(9|2)",
+      "curve": ["1", "0", "0", "0", "1", "t", "0", "0", "0", "0", "t", "0", "0", "0", "0", "t"]}, "(9|1) -> (9|2)",
+     "curve]: curve must fix the unit (first column e_1)"),
+    ({"kind": "family_limit", "source": "(18;l|1)", "target": "(16|1)", "lambda": "2",
+      "pre_change": ["1", "0", "0", "0", "0", "1/(l-2)", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1"],
+      "curve": ["1", "0", "0", "0", "0", "t", "0", "0", "0", "0", "t", "0", "0", "0", "0", "t"]}, "(18;l|1) ~> (16|1)",
+     "substitution]: (1)/(-2+l) has a pole at l = 2"),
+]
+
+
+@pytest.mark.parametrize("record, name, verdict", _ONE_RECORD_VERDICTS,
+                         ids=("mismatch", "method", "component", "orbit-dim", "not-a-family", "curve", "pole"))
+def test_one_record_verdicts(tmp_path, capsys, record, name, verdict):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"certs": [record]}))
+    assert run(capsys, "check", str(path)) == (
+        1, f"        FAIL  {path}: {name}  not_verified[{verdict}\n[check] 1 fail; exit 1\n")
+
+
+def _pole_catalog(tmp_path):
+    """The shipped catalog with (18;l|2) moved by diag(1, 1/(l-2), 1/(l-2), 1/(l-2)),
+    written with str(): its constants (1)/(-2+l) and (l)/(-2+l) have a pole at l = 2."""
+    from superdegen.catalog import load_catalog
+    from superdegen.linalg import FIELD_LRAT, Matrix
+    from superdegen.scalars import LAMBDA
+    from superdegen.structure import transport
+    d = 1 / (LAMBDA - 2)
+    g = Matrix.from_rows([[(1 if r == 0 else d) if r == c else 0 for c in range(4)] for r in range(4)], FIELD_LRAT)
+    moved = transport(g, load_catalog().get("(18;l|2)"))
+    records = json.loads(importlib.resources.files("superdegen.data").joinpath("catalog.json").read_text("utf-8"))
+    rec = next(r for r in records["entries"] if r["label"] == "(18;l|2)")
+    rec["alpha"] = [str(moved.alpha[i][j][k]) for k in range(4) for i in range(4) for j in range(4)]
+    rec["gamma"] = [str(x) for row in moved.gamma for x in row]
+    assert {"(1)/(-2+l)", "(l)/(-2+l)"} <= set(rec["alpha"])
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
+def test_verify_catalog_reports_a_pole_at_a_spot_value(tmp_path, capsys):
+    # the moved entry also fails the entrywise coincidence at 0 and its
+    # recorded base change, which were made for the shipped basis
+    code, out = run(capsys, "--catalog", _pole_catalog(tmp_path), "verify-catalog")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line or line.startswith("[")] == [
+        "        FAIL  (18;l|2)                             spot substitution failed: "
+        "family parameter 2 is excluded for (18;l|2): (1)/(-2+l) has a pole at l = 2",
+        "        FAIL  coincidence (18;l|2) at 0 vs (16|3)  entrywise",
+        "        FAIL  alpha blocks vs family references    (18;l|2)",
+        "[verify-catalog] 3 fail, 66 pass; exit 1",
+    ]
+
+
+def test_fingerprint_at_a_pole_is_a_typed_error(tmp_path, capsys):
+    code = main(["--catalog", _pole_catalog(tmp_path), "fingerprint", "(18;l|2)", "--lambda", "2"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (
+        2, "", "error: family parameter 2 is excluded for (18;l|2): (1)/(-2+l) has a pole at l = 2\n")
+
+
 def test_family_limit_with_unknown_source_fails_only_itself(tmp_path, capsys):
     records = _shipped_records("family_limits")
     records[0]["source"] = "(18;x|1)"

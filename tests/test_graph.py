@@ -5,8 +5,8 @@ import pytest
 import superdegen.catalog as catalog_module
 import superdegen.graph as graph_module
 from superdegen.catalog import CLOSED_ORBIT_LABEL, load_catalog
-from superdegen.certs import VERIFIED, ObstructionCert, Outcome, load_cert_file
-from superdegen.graph import (ASSERTED_GENERIC, ContradictionFound, build_graph, dot_diagram,
+from superdegen.certs import NOT_VERIFIED, VERIFIED, ObstructionCert, Outcome, cert_from_record, load_cert_file
+from superdegen.graph import (ASSERTED_GENERIC, ContradictionFound, UnverifiedCert, build_graph, dot_diagram,
                               generic_structures, json_diagram, load_default_graph, load_undetermined)
 
 
@@ -89,6 +89,36 @@ def test_contradiction_aborts(catalog, monkeypatch):
                         lambda cert, cat: Outcome(VERIFIED) if cert is bogus else real(cert, cat))
     with pytest.raises(ContradictionFound):
         build_graph(catalog, specs, fams, [bogus], load_undetermined())
+
+
+_POLE = {"kind": "family_limit", "source": "(18;l|1)", "target": "(16|1)", "lambda": "2",
+         "pre_change": ["1", "0", "0", "0", "0", "1/(l-2)", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1"]}
+
+
+@pytest.mark.parametrize("specs, family_limits, obstructions, message", [
+    ([{"kind": "specialization", "source": "(9|1)", "target": "(9|2)"}], [], [],
+     "(9|1) -> (9|2): not_verified[limit-mismatch]: involution constants differ at t = 0"),
+    ([], [_POLE], [], "(18;l|1) ~> (16|1): not_verified[substitution]: (1)/(-2+l) has a pole at l = 2"),
+    ([], [], [{"kind": "obstruction", "source": "(9|1)", "target": "(9|1)", "method": "OD"}],
+     "(9|1) -/-> (9|1) (OD): not_verified[orbit-dim]: trivial pair"),
+], ids=("specialization", "family-limit", "obstruction"))
+def test_a_failed_certificate_recorded_as_verified_aborts(catalog, specs, family_limits, obstructions, message):
+    specs, family_limits, obstructions = ([cert_from_record(r) for r in recs]
+                                          for recs in (specs, family_limits, obstructions))
+    with pytest.raises(UnverifiedCert) as info:
+        build_graph(catalog, specs, family_limits, obstructions, [])
+    assert str(info.value) == message
+
+
+def test_a_failed_scaling_certificate_aborts(catalog, monkeypatch):
+    # no scaling certificate of a valid catalog fails, so one is made to
+    real = graph_module.verify_cert
+    monkeypatch.setattr(graph_module, "verify_cert", lambda cert, cat: (
+        Outcome(NOT_VERIFIED, "regularity", "made to fail") if cert.name == "scaling (7|1) -> (9|1)"
+        else real(cert, cat)))
+    with pytest.raises(UnverifiedCert) as info:
+        build_graph(catalog, [], [], [], [])
+    assert str(info.value) == "scaling (7|1) -> (9|1): not_verified[regularity]: made to fail"
 
 
 def test_dot_and_json_are_deterministic(graph):

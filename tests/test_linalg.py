@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdegen import linalg
-from superdegen.certs import _lift_matrix_to_trat, load_cert_file
+from superdegen.certs import load_cert_file
 from superdegen.cyclo import C8_ONE, C8_ZERO, ZETA, Cyclo8
 from superdegen.invariants import derivation_system, stabilizer_dim
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular, _forward, adjugate
 from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.structure import random_group_element, transport
 from superdegen.tpoly import T_VAR
+
+from helpers import matrix_over_trat
 
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -521,7 +523,7 @@ def test_adjugate_of_certificate_curves(catalog):
     for cert in certs:
         _assert_adjugate(cert.curve)
         if cert.pre_change is not None:
-            _assert_adjugate(_lift_matrix_to_trat(cert.pre_change, cert.lambda_sub) * cert.curve)
+            _assert_adjugate(matrix_over_trat(cert.pre_change, cert.lambda_sub) * cert.curve)
 
 
 def test_adjugate_on_random_matrices():

@@ -6,7 +6,7 @@ its own constructor, coercion, operators and literal printer.
 Random expressions in int, Cyclo8, l and t (TRat entries may carry
 LambdaRat coefficients) are evaluated with both, and the results must agree
 structurally (num and den, coefficient by coefficient), in their printed
-literal, and under substitute, substitute_lambda, order_at_zero and
+literal, and under substitute (at a Cyclo8 and at a TRat), order_at_zero and
 the value at t = 0 (`helpers.eval_at_zero`); a ZeroDivisionError or PoleAtZero on one side must be raised
 on the other.
 
@@ -27,7 +27,7 @@ from superdegen import polys
 from superdegen.cyclo import C8_ONE, C8_ZERO, ZETA, Cyclo8, cyclo_literal
 from superdegen.polys import padd, pdivmod, peval, pgcd, pmul, pneg, porder, pscale, pstrip
 from superdegen.scalars import LAMBDA, LambdaRat
-from superdegen.tpoly import T_VAR, TRat, substitute_lambda
+from superdegen.tpoly import T_VAR, TRat
 
 from helpers import PoleAtZero, eval_at_zero
 
@@ -505,7 +505,7 @@ def test_shared_body_matches_the_reference_bodies(tree):
             _assert_outcomes_agree(_outcome(x.substitute, v), _outcome(r.substitute, v))
     if isinstance(x, (int, Cyclo8, LambdaRat)):
         for lam, ref_lam in ((T_VAR, _REF["tvar"]), (1 / (1 + T_VAR), 1 / (1 + _REF["tvar"]))):
-            _assert_outcomes_agree(_outcome(substitute_lambda, x, lam),
+            _assert_outcomes_agree(_outcome(LambdaRat.coerce(x).substitute, lam),
                                    _outcome(_ref_substitute_lambda, r, ref_lam))
     if isinstance(x, TRat):
         assert x.order_at_zero() == r.order_at_zero()

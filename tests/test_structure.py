@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from superdegen import certs, structure
 from superdegen.catalog import FORBIDDEN_LAMBDA
-from superdegen.certs import (NOT_VERIFIED, VERIFIED, Outcome, SpecializationCert, _lift_matrix_to_trat, _lowest,
-                              _sc_over_trat, load_cert_file, scaling_cert, verify_cert)
+from superdegen.certs import (NOT_VERIFIED, VERIFIED, Outcome, SpecializationCert, _lowest, load_cert_file, scaling_cert,
+                              verify_cert)
 from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, Singular
 from superdegen.scalars import LAMBDA, LambdaRat
@@ -20,7 +20,7 @@ from superdegen.structure import (AxiomError, NotAnInvolution, NotInGroup, Struc
                                   transport_algebra, validate)
 from superdegen.tpoly import ORDER_INF, T_VAR, TRat
 
-from helpers import eval_at_zero
+from helpers import eval_at_zero, matrix_over_trat, sc_over_trat
 
 
 def _with_trivial_grading(alpha, field):
@@ -357,8 +357,8 @@ def test_transport_matches_reference_on_certificate_curves(catalog):
             src = catalog.entry(cert.source).sc
             curve = cert.curve
             if cert.pre_change is not None:
-                curve = _lift_matrix_to_trat(cert.pre_change, cert.lambda_sub) * curve
-            src_t = _sc_over_trat(src, cert.lambda_sub)
+                curve = matrix_over_trat(cert.pre_change, cert.lambda_sub) * curve
+            src_t = sc_over_trat(src, cert.lambda_sub)
             moved = transport(curve, src_t, revalidate=False)
             assert moved == _reference_transport(curve, src_t, field=FIELD_TRAT)
             checked += 1
@@ -800,10 +800,10 @@ def _reference_verify_specialization(cert, catalog):
         return Outcome(NOT_VERIFIED, "curve-not-generic", "det of the basis curve vanishes identically")
     composed = cert.curve
     if cert.pre_change is not None:
-        composed = _lift_matrix_to_trat(cert.pre_change, lam) * cert.curve
+        composed = matrix_over_trat(cert.pre_change, lam) * cert.curve
     if composed.determinant().is_zero():
         return Outcome(NOT_VERIFIED, "curve-not-generic", "composed curve is singular for all t")
-    moved = _reference_transport(composed, _sc_over_trat(src, lam), field=FIELD_TRAT)
+    moved = _reference_transport(composed, sc_over_trat(src, lam), field=FIELD_TRAT)
     blocks = [(f"alpha[{i + 1}][{j + 1}][{k + 1}]", moved.alpha[i][j][k])
               for i in range(n) for j in range(n) for k in range(n)]
     blocks += [(f"gamma[{r + 1}][{c + 1}]", moved.gamma[r][c]) for r in range(n) for c in range(n)]
@@ -845,8 +845,8 @@ def test_numerators_give_the_reference_valuations_and_limits(catalog):
     for cert in certs:
         curve = cert.curve
         if cert.pre_change is not None:
-            curve = _lift_matrix_to_trat(cert.pre_change, cert.lambda_sub) * curve
-        src_t = _sc_over_trat(catalog.entry(cert.source).sc, cert.lambda_sub)
+            curve = matrix_over_trat(cert.pre_change, cert.lambda_sub) * curve
+        src_t = sc_over_trat(catalog.entry(cert.source).sc, cert.lambda_sub)
         ref = _reference_transport(curve, src_t, field=FIELD_TRAT)
         nums, gnums, det = moved_numerators(curve, src_t, FIELD_TRAT)
         order, low = det.order_at_zero(), _lowest(det)
@@ -894,8 +894,8 @@ def _assert_t_image_matches_reference(cert, src):
     b, nums, gnums, det, ascale, gscale = certs._t_image(cert, src)
     curve = cert.curve
     if cert.pre_change is not None:
-        curve = _lift_matrix_to_trat(cert.pre_change, None) * curve
-    ref_nums, ref_gnums, ref_det = moved_numerators(curve, _sc_over_trat(src, None), FIELD_TRAT)
+        curve = matrix_over_trat(cert.pre_change, None) * curve
+    ref_nums, ref_gnums, ref_det = moved_numerators(curve, sc_over_trat(src, None), FIELD_TRAT)
     k, low = certs._int_order(b, det), certs._int_lowest(b, det)
     assert k == ref_det.order_at_zero()
     n = src.n
@@ -961,11 +961,10 @@ def test_an_unvalidated_target_equal_to_the_limit_is_checked(catalog):
     bad = _perturbed(catalog.get("(1|0)"), "alpha", (1, 1, 0), Cyclo8(1))
     target = StructureConstants(4, bad.alpha, bad.gamma, FIELD_C8)
     cert = SpecializationCert("src", "tgt", None, Matrix.identity(4, FIELD_TRAT), None)
-    out = certs.verify_specialization(cert, None, source_sc=bad, target_sc=target)
+    out = certs._verify(cert, bad, target)
     assert (out.status, out.stage) == (NOT_VERIFIED, "limit")
     good = catalog.get("(1|0)")
-    out = certs.verify_specialization(cert, None, source_sc=good,
-                                      target_sc=StructureConstants(4, good.alpha, good.gamma, FIELD_C8))
+    out = certs._verify(cert, good, StructureConstants(4, good.alpha, good.gamma, FIELD_C8))
     assert out == Outcome(VERIFIED)
 
 
@@ -977,7 +976,7 @@ def test_a_failed_post_change_keeps_the_stage_order(catalog):
     out = verify_cert(cert, catalog)
     assert (out.stage, out.detail) == ("post-change", "matrix is singular")
     bad = _perturbed(catalog.get("(10|1)"), "alpha", (1, 1, 0), Cyclo8(1))
-    out = certs.verify_specialization(cert, catalog, source_sc=bad)
+    out = certs._verify(cert, bad, catalog.get(cert.target))
     assert out.stage == "limit"
 
 

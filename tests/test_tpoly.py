@@ -4,8 +4,8 @@ import pytest
 
 from superdegen.cyclo import Cyclo8
 from superdegen.literals import parse_scalar
-from superdegen.scalars import LAMBDA
-from superdegen.tpoly import ORDER_INF, T_VAR, TRat, substitute_lambda
+from superdegen.scalars import LAMBDA, LambdaRat
+from superdegen.tpoly import ORDER_INF, T_VAR, TRat
 
 from helpers import PoleAtZero, eval_at_zero
 
@@ -65,11 +65,13 @@ def test_field_ops_and_round_trip():
 
 def test_lambda_substitution():
     x = (1 + LAMBDA) / LAMBDA
-    sub = substitute_lambda(x, 1 / t)
+    sub = x.substitute(1 / t)
     assert sub == (t + 1)
-    assert substitute_lambda(Cyclo8(7), t) == TRat.coerce(7)
+    assert LambdaRat.coerce(Cyclo8(7)).substitute(t) == TRat.coerce(7)
     y = LAMBDA / (1 - LAMBDA)
-    assert substitute_lambda(y, t * t) == t * t / (1 - t * t)
+    assert y.substitute(t * t) == t * t / (1 - t * t)
+    with pytest.raises(ZeroDivisionError, match=r"^\(l\)/\(-1\+l\) has a pole at l = 1$"):
+        (LAMBDA / (LAMBDA - 1)).substitute(TRat.coerce(1))
 
 
 def test_mixed_coefficients():
