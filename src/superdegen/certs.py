@@ -50,7 +50,7 @@ A family-limit certificate additionally substitutes a t-rational function
 for the family parameter before running the same pipeline, witnessing that
 the target lies in the closure of the union of the family's orbits.  The
 pre-change and the source constants are carried over by
-`LambdaRat.substitute`; a pole there, as of 1/(l-2) at l := 2, is the
+`RatFunc.substitute`; a pole there, as of 1/(l-2) at l := 2, is the
 verdict not_verified[substitution].
 
 An obstruction certificate claims a NON-degeneration by one of the methods:
@@ -79,8 +79,8 @@ from .cyclo import C8_ZERO, Cyclo8
 from .literals import ParseError, parse_scalar
 from .polys import porder
 from .scalars import LambdaRat
-from .structure import (NotInGroup, StructureConstants, _moved, group_element, moved_numerators, transport,
-                        validate)
+from .structure import (NotInGroup, StructureConstants, _matmul, _moved, group_element, moved_numerators,
+                        transport, validate)
 from .tpoly import TRat
 
 VERIFIED = "verified"
@@ -247,13 +247,15 @@ def _verify(cert: SpecializationCert, src: StructureConstants, tgt: StructureCon
     if image is None:
         # with no parameter substituted, moved_numerators lifts src itself
         try:
-            lifted = None if pre is None else pre.map_entries(conv, FIELD_TRAT)
+            lifted = None if pre is None else [[conv(x) for x in row] for row in pre.to_lists()]
             if lam is not None:
                 src = StructureConstants(n, [[[conv(x) for x in row] for row in plane] for plane in src.alpha],
                                          [[conv(x) for x in row] for row in src.gamma], FIELD_TRAT)
         except ZeroDivisionError as exc:
             return Outcome(NOT_VERIFIED, "substitution", str(exc))
-        composed = cert.curve if lifted is None else lifted * cert.curve
+        composed = cert.curve
+        if lifted is not None:
+            composed = Matrix.from_rows(_matmul(lifted, cert.curve.to_lists(), FIELD_TRAT.zero), FIELD_TRAT)
         nums, gnums, det = moved_numerators(composed, src, FIELD_TRAT)
         scales, order, lowest, decoded = (1, 1), TRat.order_at_zero, _lowest, TRat.coerce
     else:

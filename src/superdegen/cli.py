@@ -16,7 +16,8 @@ from . import reports
 from .catalog import Catalog, CatalogError, load_catalog
 from .certs import UNSUPPORTED as CERT_UNSUPPORTED
 from .certs import VERIFIED, CertFormatError, load_cert_file, verify_cert
-from .graph import dot_diagram, generic_structures, json_diagram, load_default_graph
+from .graph import (ContradictionFound, UnverifiedCert, dot_diagram, generic_structures, json_diagram,
+                    load_default_graph)
 from .invariants import fingerprint
 from .structure import AxiomError
 
@@ -56,7 +57,7 @@ def cmd_verify_catalog(args) -> reports.RunReport:
                 f"defining equations hold symbolically and at parameter values {SPOT_LAMBDAS}")
     for rec in catalog.coincidence_check():
         name = f"coincidence {rec['family']} at {rec['at']} vs {rec['target']}"
-        rep.add(name, reports.PASS if rec["ok"] else reports.FAIL, rec["kind"])
+        rep.add(name, reports.PASS if rec["ok"] else reports.FAIL, rec.get("error", rec["kind"]))
     bad = catalog.check_alpha_blocks()
     rep.add("alpha blocks vs family references", reports.FAIL if bad else reports.PASS,
             ", ".join(bad) if bad else "all recorded base changes reproduce the alpha blocks")
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         rep = args.fn(args)
-    except (CatalogError, AxiomError, OutputError) as exc:
+    except (CatalogError, AxiomError, OutputError, UnverifiedCert, ContradictionFound) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     rep.elapsed = time.time() - t0

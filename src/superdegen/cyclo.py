@@ -156,22 +156,27 @@ class Cyclo8:
         return NotImplemented
 
     def __pow__(self, n: int) -> "Cyclo8":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = C8_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, C8_ONE)
 
     def __repr__(self):
         return f"Cyclo8({self})"
 
     def __str__(self):
         return cyclo_literal(self)
+
+
+def power(x, n: int, one):
+    """x ** n by square and multiply, for any field element x with the
+    unit one; a negative n takes the inverse of x first."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 def _raw(c: tuple, d: int) -> Cyclo8:

@@ -26,8 +26,8 @@ they go to `linalg._int_rank` as they are.
 
 The closed, transport-stable sets A..E are decided in one pass over a
 point (`closed_set_member`): its table holds A and B, and C, D and E when
-dim A_0 = 2, with J(A_0) solved once.  The fingerprint reads its flags and
-dim J = int(C) from that table.
+dim A_0 = 2, with J(A_0) read off u^2 once (`square_zero_subspace_dim2`).
+The fingerprint reads its flags and dim J = int(C) from that table.
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ def _span_rank(sc, vectors) -> int:
 
 
 def _coords_in(sc, basis, vector):
-    m = Matrix.from_rows([list(b) for b in basis], sc.field).transpose()
-    return m.solve(vector)
+    return Matrix.from_rows(list(zip(*basis)), sc.field).solve(vector)
 
 
 def subalgebra_multiplication(sc: StructureConstants, basis):
@@ -176,36 +175,30 @@ def radical_basis(sc: StructureConstants, basis):
 
 
 def square_zero_subspace_dim2(sc: StructureConstants, basis0):
-    """Direct solve of {x in A_0 : x^2 = 0} when A_0 is 2-dimensional and unital.
+    """{x in A_0 : x^2 = 0} when A_0 is 2-dimensional, read off u^2 with no
+    linear solve.
 
-    Writing A_0 = span{1, u} with u^2 = c0 + c1 u, the solutions form the zero
-    space unless c1^2 + 4 c0 = 0, in which case they are the line through
-    u - (c1/2).  This is the independent oracle for the trace-form radical.
+    The unit e_1 must lie in A_0, as `grading_split` has checked (the unit
+    is even).  Then A_0 = span{e_1, u} for a basis vector u nonzero at some
+    place p >= 1, and u^2 = c0 e_1 + c1 u gives c1 = u^2[p] / u[p] and
+    c0 = u^2[0] - c1 u[0]; NotClosed unless u^2[k] = c1 u[k] at every
+    k >= 1.  The solutions form the zero space unless c1^2 + 4 c0 = 0, in
+    which case they are the line through u - (c1/2).  This is the
+    independent oracle for the trace-form radical.
     """
-    n = sc.n
     if len(basis0) != 2:
         raise WrongComponent("square-zero solve needs a 2-dimensional even part")
-    e1 = tuple(sc.field.one if k == 0 else sc.field.zero for k in range(n))
-    coords_e1 = _coords_in(sc, basis0, e1)
-    if coords_e1 is None:
-        raise NotClosed("the unit is not in the span of the even basis")
-    # pick a basis {1, u} of the span
-    if not coords_e1[0].is_zero():
-        u = basis0[1]
-    else:
-        u = basis0[0]
-    pair = (e1, tuple(sc.field.lift(x) for x in u))
-    usq = sc.multiply(pair[1], pair[1])
-    coords = _coords_in(sc, pair, usq)
-    if coords is None:
+    lift = sc.field.lift
+    u, p = next((v, k) for v in basis0 for k in range(1, sc.n) if not lift(v[k]).is_zero())
+    u = tuple(map(lift, u))
+    usq = sc.multiply(u, u)
+    c1 = usq[p] / u[p]
+    if any(not (usq[k] == c1 * u[k]) for k in range(1, sc.n)):
         raise NotClosed("the even part is not closed under multiplication")
-    c0, c1 = coords
-    disc = c1 * c1 + 4 * c0
-    if not disc.is_zero():
+    c0 = usq[0] - c1 * u[0]
+    if not (c1 * c1 + 4 * c0).is_zero():
         return []
-    shift = c1 / 2
-    line = tuple(sc.field.lift(pair[1][k]) - shift * e1[k] for k in range(n))
-    return [line]
+    return [(u[0] - c1 / 2,) + u[1:]]
 
 
 def _nonzero(vector) -> bool:

@@ -16,7 +16,9 @@ order: each is normalised and its column cleared above it.  The reduced
 form is unique, so this gives the entries Gauss-Jordan elimination gives,
 with fewer operations.  `Matrix.inverse` has no caller in the package
 (transport inverts by `adjugate`); it stays only because the benchmark's
-tracer (`perfbench/layers.py`) wraps it by name.
+tracer (`perfbench/layers.py`) wraps it by name.  `Matrix` has no
+product: the package's one matrix product is `structure._matmul`, on row
+lists.
 
 Rank is taken on the integer image.  Multiplying a row by a nonzero scalar
 keeps the rank.  A row over Q(z)(l) is multiplied by the lcm of its
@@ -316,33 +318,6 @@ class Matrix:
         return all(a == b for a, b in zip(self.entries, other.entries))
 
     __hash__ = None
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        z = self.field.zero
-        flat = []
-        for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = row[k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.at(k, c)
-                flat.append(acc)
-        return Matrix(self.rows, other.cols, flat, self.field)
-
-    def transpose(self):
-        flat = [self.at(r, c) for c in range(self.cols) for r in range(self.rows)]
-        return Matrix(self.cols, self.rows, flat, self.field)
-
-    def map_entries(self, fn, field=None):
-        field = field or self.field
-        return Matrix(self.rows, self.cols, [fn(e) for e in self.entries], field)
 
     def rank(self) -> int:
         """Rank by integer elimination (module docstring); there is none

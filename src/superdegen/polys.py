@@ -12,14 +12,17 @@ reduced with a monic denominator at every step, so structural equality is
 semantic equality.  A sum, difference or product of two polynomials
 (denominator 1) is built without the gcd: the denominator 1 is monic and
 prime to any numerator, so it is already reduced.  str() prints the exact
-literal syntax of literals.py.
+literal syntax of literals.py.  `RatFunc.substitute` is the package's one
+evaluation of a rational function: the catalog's family members, the
+family limits' l := lambda(t), and `_coprime_at`'s values of l all use it.
+Powers take `cyclo.power`, the one square-and-multiply loop.
 """
 
 from __future__ import annotations
 
 from itertools import count
 
-from .cyclo import C8_ONE, C8_ZERO, Cyclo8
+from .cyclo import C8_ONE, C8_ZERO, Cyclo8, power
 
 ONE_POLY = (C8_ONE,)
 
@@ -107,15 +110,10 @@ def _euclid(a, b, zero) -> tuple:
 
 def _at(p, l0):
     """p with l := l0 in each coefficient; None if a denominator vanishes there."""
-    out = []
-    for c in p:
-        if isinstance(c, RatFunc):
-            den = peval(c.den, l0, C8_ZERO)
-            if not den:
-                return None
-            c = peval(c.num, l0, C8_ZERO) / den
-        out.append(c)
-    return out
+    try:
+        return [c.substitute(l0) if isinstance(c, RatFunc) else c for c in p]
+    except ZeroDivisionError:
+        return None
 
 
 def _coprime_at(a, b) -> bool:
@@ -314,16 +312,17 @@ class RatFunc:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self._reduced(ONE_POLY, ONE_POLY)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self._reduced(ONE_POLY, ONE_POLY))
+
+    def substitute(self, value):
+        """Evaluate at VAR = value, a Cyclo8, an int or a TRat; the result
+        lies in value's field.  ZeroDivisionError when the denominator
+        vanishes there."""
+        zero = 0 * value
+        d = peval(self.den, value, zero)
+        if d.is_zero():
+            raise ZeroDivisionError(f"{self} has a pole at {self.VAR} = {value}")
+        return peval(self.num, value, zero) / d
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

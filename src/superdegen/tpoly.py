@@ -7,7 +7,7 @@ basis change; the operation it adds, and the one that matters downstream,
 is the t-adic valuation at 0 (certificates read a limit at t = 0 off the
 lowest coefficients, `certs._lowest`).  A TRat with denominator 1 plays the
 role of a plain polynomial in t.  A family limit puts a TRat in for the
-family parameter l with `LambdaRat.substitute`.
+family parameter l with `RatFunc.substitute`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Helpers shared by several test modules and used by no program: the value
 at t = 0 of a rational function in t, which the reference verifier in
-test_structure reads its limits with, and the lift of a certificate's
+test_structure reads its limits with, the lift of a certificate's
 pre-change and source constants into Q(z)(l)(t), with l := lambda(t) for a
-family limit, which the references transport."""
+family limit, which the references transport, and a matrix product of the
+references' own, apart from the program's `structure._matmul`."""
 
 from superdegen.cyclo import C8_ZERO
-from superdegen.linalg import FIELD_TRAT
+from superdegen.linalg import FIELD_TRAT, Matrix
 from superdegen.polys import porder
 from superdegen.scalars import LambdaRat
 from superdegen.structure import StructureConstants
@@ -34,7 +35,15 @@ def over_trat(x, lam):
 
 
 def matrix_over_trat(m, lam):
-    return m.map_entries(lambda x: over_trat(x, lam), FIELD_TRAT)
+    return Matrix.from_rows([[over_trat(x, lam) for x in row] for row in m.to_lists()], FIELD_TRAT)
+
+
+def matmul(a, b):
+    """The product of the matrices a and b over a's field, each entry the
+    sum over k of a[r][k] * b[k][c]."""
+    zero = a.field.zero
+    return Matrix.from_rows([[sum((a.at(r, k) * b.at(k, c) for k in range(a.cols)), zero) for c in range(b.cols)]
+                             for r in range(a.rows)], a.field)
 
 
 def sc_over_trat(sc, lam):

@@ -100,24 +100,37 @@ def test_one_record_verdicts(tmp_path, capsys, record, name, verdict):
         1, f"        FAIL  {path}: {name}  not_verified[{verdict}\n[check] 1 fail; exit 1\n")
 
 
+def _catalog_with(tmp_path, label, diagonal=None):
+    """The shipped catalog, written to tmp_path, with the entry label moved
+    by diag(1, *diagonal) and written with str(), or deleted when diagonal is
+    None; returns the file's path and the entry's record."""
+    from superdegen.catalog import load_catalog
+    from superdegen.linalg import Matrix
+    from superdegen.structure import transport
+    records = json.loads(importlib.resources.files("superdegen.data").joinpath("catalog.json").read_text("utf-8"))
+    rec = next(r for r in records["entries"] if r["label"] == label)
+    if diagonal is None:
+        records["entries"].remove(rec)
+    else:
+        sc = load_catalog().get(label)
+        diag = [1, *diagonal]
+        moved = transport(Matrix.from_rows([[diag[r] if r == c else 0 for c in range(4)] for r in range(4)],
+                                           sc.field), sc)
+        rec["alpha"] = [str(moved.alpha[i][j][k]) for k in range(4) for i in range(4) for j in range(4)]
+        rec["gamma"] = [str(x) for row in moved.gamma for x in row]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(records))
+    return str(path), rec
+
+
 def _pole_catalog(tmp_path):
     """The shipped catalog with (18;l|2) moved by diag(1, 1/(l-2), 1/(l-2), 1/(l-2)),
     written with str(): its constants (1)/(-2+l) and (l)/(-2+l) have a pole at l = 2."""
-    from superdegen.catalog import load_catalog
-    from superdegen.linalg import FIELD_LRAT, Matrix
     from superdegen.scalars import LAMBDA
-    from superdegen.structure import transport
     d = 1 / (LAMBDA - 2)
-    g = Matrix.from_rows([[(1 if r == 0 else d) if r == c else 0 for c in range(4)] for r in range(4)], FIELD_LRAT)
-    moved = transport(g, load_catalog().get("(18;l|2)"))
-    records = json.loads(importlib.resources.files("superdegen.data").joinpath("catalog.json").read_text("utf-8"))
-    rec = next(r for r in records["entries"] if r["label"] == "(18;l|2)")
-    rec["alpha"] = [str(moved.alpha[i][j][k]) for k in range(4) for i in range(4) for j in range(4)]
-    rec["gamma"] = [str(x) for row in moved.gamma for x in row]
+    path, rec = _catalog_with(tmp_path, "(18;l|2)", [d, d, d])
     assert {"(1)/(-2+l)", "(l)/(-2+l)"} <= set(rec["alpha"])
-    path = tmp_path / "pole.json"
-    path.write_text(json.dumps(records))
-    return str(path)
+    return path
 
 
 def test_verify_catalog_reports_a_pole_at_a_spot_value(tmp_path, capsys):
@@ -132,6 +145,57 @@ def test_verify_catalog_reports_a_pole_at_a_spot_value(tmp_path, capsys):
         "        FAIL  alpha blocks vs family references    (18;l|2)",
         "[verify-catalog] 3 fail, 66 pass; exit 1",
     ]
+
+
+def _pole_at_zero_catalog(tmp_path):
+    """(18;l|0) moved by diag(1, 1/l, 1/l, 1/l): a pole at l = 0, the value
+    of its entrywise coincidence with (16|0)."""
+    from superdegen.scalars import LAMBDA
+    d = 1 / LAMBDA
+    return _catalog_with(tmp_path, "(18;l|0)", [d, d, d])[0]
+
+
+@pytest.mark.parametrize("edit, failures", [
+    (_pole_at_zero_catalog, [
+        "        FAIL  coincidence (18;l|0) at 0 vs (16|0)  "
+        "family parameter 0 is excluded for (18;l|0): (1)/(l) has a pole at l = 0",
+        # (18;l|0) is the recorded reference of the other two families
+        "        FAIL  alpha blocks vs family references    (18;l|1), (18;l|2)",
+        "[verify-catalog] 2 fail, 67 pass; exit 1"]),
+    (lambda tmp_path: _catalog_with(tmp_path, "(16|0)")[0], [
+        "        FAIL  coincidence (18;l|0) at 0 vs (16|0)  no catalog entry '(16|0)'",
+        "[verify-catalog] 1 fail, 67 pass; exit 1"]),
+], ids=("pole-at-0", "no-(16|0)"))
+def test_verify_catalog_keeps_its_report_when_a_coincidence_pair_cannot_be_formed(tmp_path, capsys, edit,
+                                                                                  failures):
+    code, out = run(capsys, "--catalog", edit(tmp_path), "verify-catalog")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line or line.startswith("[")] == failures
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("(7|1)", [2, 1, 1]), "(2|2) -> (7|1): not_verified[limit-mismatch]: alpha[2][2][3]: limit 2 vs target 8"),
+    (("(16|0)",), "(16|0) -/-> (16|1) (DIM0): not_verified[labels]: no catalog entry '(16|0)'"),
+], ids=("(7|1)-moved", "no-(16|0)"))
+@pytest.mark.parametrize("command", [("diagram", "--component", "3", "--format", "json"),
+                                     ("generic", "--component", "3")], ids=("diagram", "generic"))
+def test_catalog_failing_a_shipped_certificate_is_a_typed_error(tmp_path, capsys, edit, message, command):
+    code = main(["--catalog", _catalog_with(tmp_path, *edit)[0], *command])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
+def test_contradicting_certificates_are_a_typed_error(capsys, monkeypatch):
+    from superdegen import cli
+    from superdegen.graph import ContradictionFound
+
+    def contradiction(catalog):
+        raise ContradictionFound([("(2|2)", "(7|1)", None, None)])
+    monkeypatch.setattr(cli, "load_default_graph", contradiction)
+    code = main(["generic", "--component", "3"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (
+        2, "", "error: 1 pair(s) are both degeneration and obstruction: (2|2)->(7|1)\n")
 
 
 def test_fingerprint_at_a_pole_is_a_typed_error(tmp_path, capsys):

@@ -18,6 +18,23 @@ def test_defining_constants():
     assert ZETA ** 8 == 1
 
 
+def _powers():
+    from superdegen.scalars import LAMBDA
+    from superdegen.tpoly import T_VAR
+    return [Cyclo8(Fraction(2, 3), -1, 0, Fraction(1, 2)), (ZETA + LAMBDA) / (LAMBDA - 2),
+            (T_VAR + LAMBDA) / (1 - ZETA * T_VAR)]
+
+
+@pytest.mark.parametrize("x", _powers(), ids=("Cyclo8", "LambdaRat", "TRat"))
+def test_power_is_the_repeated_product(x):
+    # the one square-and-multiply loop, on each field, for n in -3..3
+    for n in range(-3, 4):
+        expected = x / x
+        for _ in range(abs(n)):
+            expected = expected * x if n > 0 else expected / x
+        assert x ** n == expected and type(x ** n) is type(x), n
+
+
 def test_zeta_inverse():
     # z * z^3 = z^4 = -1, so 1/z = -z^3
     assert ZETA.inverse() == -(ZETA ** 3)

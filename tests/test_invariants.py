@@ -6,9 +6,10 @@ import pytest
 
 from superdegen import invariants
 from superdegen.cyclo import ZETA, Cyclo8
-from superdegen.invariants import (WrongComponent, closed_set_member, derivation_system, fingerprint,
+from superdegen.invariants import (NotClosed, WrongComponent, closed_set_member, derivation_system, fingerprint,
                                    orbit_dim, radical_basis, square_zero_subspace_dim2, stabilizer_dim)
 from superdegen.linalg import FIELD_C8, FIELD_LRAT, Matrix
+from superdegen.scalars import LAMBDA
 from superdegen.structure import StructureConstants, grading_split, random_group_element, transport
 
 
@@ -71,6 +72,83 @@ def test_radical_matches_square_zero_oracle_on_dim2(catalog):
             m = Matrix.from_rows([list(direct[0])], e.sc.field)
             stacked = Matrix.from_rows([list(direct[0]), list(trace_form[0])], e.sc.field)
             assert stacked.rank() == 1, e.label
+
+
+# --- J(A_0) read off u^2 against the two linear solves it replaced ---
+
+def _reference_square_zero_subspace_dim2(sc, basis0):
+    """{x in A_0 : x^2 = 0} by solving for the coordinates of the unit in
+    basis0, then for those of u^2 in {1, u}; kept as the oracle of
+    `square_zero_subspace_dim2`."""
+    def coords_in(basis, vector):
+        return Matrix.from_rows(list(zip(*basis)), sc.field).solve(vector)
+
+    n = sc.n
+    if len(basis0) != 2:
+        raise WrongComponent("square-zero solve needs a 2-dimensional even part")
+    e1 = tuple(sc.field.one if k == 0 else sc.field.zero for k in range(n))
+    coords_e1 = coords_in(basis0, e1)
+    if coords_e1 is None:
+        raise NotClosed("the unit is not in the span of the even basis")
+    u = tuple(sc.field.lift(x) for x in basis0[1 if not coords_e1[0].is_zero() else 0])
+    coords = coords_in((e1, u), sc.multiply(u, u))
+    if coords is None:
+        raise NotClosed("the even part is not closed under multiplication")
+    c0, c1 = coords
+    if not (c1 * c1 + 4 * c0).is_zero():
+        return []
+    return [tuple(u[k] - c1 / 2 * e1[k] for k in range(n))]
+
+
+def _assert_square_zero_matches_reference(sc):
+    """The same number of vectors, spanning the same line; returns that number."""
+    basis0 = grading_split(sc).basis0
+    if len(basis0) != 2:
+        with pytest.raises(WrongComponent):
+            square_zero_subspace_dim2(sc, basis0)
+        return None
+    got, ref = square_zero_subspace_dim2(sc, basis0), _reference_square_zero_subspace_dim2(sc, basis0)
+    assert len(got) == len(ref)
+    if got:
+        assert Matrix.from_rows([list(got[0]), list(ref[0])], sc.field).rank() == 1
+        assert not any(not c.is_zero() for c in sc.multiply(got[0], got[0]))
+    return len(got)
+
+
+def test_square_zero_line_matches_reference_on_entries(catalog):
+    counts = Counter(_assert_square_zero_matches_reference(e.sc) for e in catalog.entries.values())
+    assert counts[0] and counts[1] and sum(counts.values()) == 61
+
+
+def test_square_zero_line_matches_reference_on_fuzz_points(benchmark_points):
+    # one pass of each fuzz workload on seeds 101 and 7
+    counts = Counter()
+    for workload in ("fuzz-fixed", "fuzz-family"):
+        for seed in (101, 7):
+            counts.update(_assert_square_zero_matches_reference(sc) for sc in benchmark_points(workload, seed))
+    assert counts[0] and counts[1] and sum(counts.values()) == 2 * (116 + 60)
+
+
+def test_square_zero_line_matches_reference_on_z_and_l_denominator_moves(catalog):
+    # the entries with a 2-dimensional even part over Q(z)(l), moved by a g
+    # with a z-part and denominators in l
+    L = LAMBDA
+    g = Matrix.from_rows([[1, 0, 1 / (L + 1), 0], [0, 1, 0, ZETA], [0, 0, 1, 0], [0, 0, 1 - ZETA, 1 + L]], FIELD_LRAT)
+    assert not g.determinant().is_zero()
+    counts = Counter()
+    for e in catalog.entries.values():
+        if e.component == 2:
+            sc = StructureConstants(4, e.sc.alpha, e.sc.gamma, FIELD_LRAT)
+            counts[_assert_square_zero_matches_reference(transport(g, sc))] += 1
+    assert counts[0] and counts[1] and sum(counts.values()) == sum(e.component == 2 for e in catalog.entries.values())
+
+
+@pytest.mark.parametrize("label, basis", [("(5|0)", ((1, 0, 0, 0), (0, 1, 0, 0))),  # e2^2 = e3
+                                          ("(4|0)", ((0, 0, 1, 0), (1, 0, 0, 0)))])  # e3^2 = e4
+def test_square_zero_line_needs_a_closed_span(catalog, label, basis):
+    sc = catalog.get(label)
+    with pytest.raises(NotClosed):
+        square_zero_subspace_dim2(sc, tuple(tuple(sc.field.lift(x) for x in v) for v in basis))
 
 
 def test_closed_set_examples(catalog):

@@ -18,7 +18,7 @@ from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.structure import random_group_element, transport
 from superdegen.tpoly import T_VAR
 
-from helpers import matrix_over_trat
+from helpers import matmul, matrix_over_trat
 
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -60,7 +60,7 @@ def test_inverse_examples():
     d = Matrix.from_rows([[1, 0, 0], [0, t, 0], [0, 0, t]], FIELD_TRAT)
     dinv = d.inverse()
     assert dinv.at(1, 1) == 1 / t and dinv.at(2, 2) == 1 / t
-    assert d * dinv == Matrix.identity(3, FIELD_TRAT)
+    assert matmul(d, dinv) == Matrix.identity(3, FIELD_TRAT)
     with pytest.raises(Singular):
         M([[1, 2, 3], [2, 4, 6], [0, 0, 1]]).inverse()
 
@@ -491,7 +491,7 @@ def test_determinant_and_inverse_of_certificate_curves():
     assert len(curves) == 43
     for g in curves:
         assert g.determinant() == _leibniz_determinant(g)
-        assert g * g.inverse() == Matrix.identity(g.rows, FIELD_TRAT)
+        assert matmul(g, g.inverse()) == Matrix.identity(g.rows, FIELD_TRAT)
 
 
 def test_determinant_matches_leibniz_on_random_matrices():
@@ -512,7 +512,7 @@ def _assert_adjugate(m):
     assert det == _leibniz_determinant(m) == m.determinant()
     a = Matrix.from_rows(adj, m.field)
     scaled = Matrix.from_rows([[det if r == c else 0 for c in range(m.rows)] for r in range(m.rows)], m.field)
-    assert a * m == scaled == m * a
+    assert matmul(a, m) == scaled == matmul(m, a)
     return a, det
 
 
@@ -523,7 +523,7 @@ def test_adjugate_of_certificate_curves(catalog):
     for cert in certs:
         _assert_adjugate(cert.curve)
         if cert.pre_change is not None:
-            _assert_adjugate(matrix_over_trat(cert.pre_change, cert.lambda_sub) * cert.curve)
+            _assert_adjugate(matmul(matrix_over_trat(cert.pre_change, cert.lambda_sub), cert.curve))
 
 
 def test_adjugate_on_random_matrices():
@@ -537,7 +537,7 @@ def test_adjugate_on_random_matrices():
             [[_q_entry(rng) for _ in range(n)] for _ in range(n)])
         a, det = _assert_adjugate(m)
         if det:
-            assert _same(a.map_entries(lambda x: x / det).entries, _reference_inverse(m).entries)
+            assert _same([x / det for x in a.entries], _reference_inverse(m).entries)
         else:
             singular += 1
         ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]

@@ -20,7 +20,7 @@ from superdegen.structure import (AxiomError, NotAnInvolution, NotInGroup, Struc
                                   transport_algebra, validate)
 from superdegen.tpoly import ORDER_INF, T_VAR, TRat
 
-from helpers import eval_at_zero, matrix_over_trat, sc_over_trat
+from helpers import eval_at_zero, matmul, matrix_over_trat, sc_over_trat
 
 
 def _with_trivial_grading(alpha, field):
@@ -309,7 +309,7 @@ def _reference_transport(g: Matrix, sc: StructureConstants, field=None) -> Struc
                     if not (nk.is_zero() or Bij[l].is_zero()):
                         acc = acc + nk * Bij[l]
                 alpha[i][j][k] = acc
-    gmat = nu * Matrix.from_rows(sc.gamma, sc.field).map_entries(field.lift, field) * g
+    gmat = matmul(matmul(nu, Matrix.from_rows(sc.gamma, field)), g)
     return StructureConstants(n, alpha, gmat.to_lists(), field)
 
 
@@ -357,7 +357,7 @@ def test_transport_matches_reference_on_certificate_curves(catalog):
             src = catalog.entry(cert.source).sc
             curve = cert.curve
             if cert.pre_change is not None:
-                curve = matrix_over_trat(cert.pre_change, cert.lambda_sub) * curve
+                curve = matmul(matrix_over_trat(cert.pre_change, cert.lambda_sub), curve)
             src_t = sc_over_trat(src, cert.lambda_sub)
             moved = transport(curve, src_t, revalidate=False)
             assert moved == _reference_transport(curve, src_t, field=FIELD_TRAT)
@@ -628,8 +628,8 @@ def _unipotent(steps, field=FIELD_LRAT):
     steps, with c >= 1 and r != c: determinant 1, first column e_1."""
     g = Matrix.identity(4, field)
     for r, c, x in steps:
-        g = g * Matrix.from_rows([[1 if a == b else x if (a, b) == (r, c) else 0 for b in range(4)]
-                                  for a in range(4)], field)
+        g = matmul(g, Matrix.from_rows([[1 if a == b else x if (a, b) == (r, c) else 0 for b in range(4)]
+                                        for a in range(4)], field))
     return g
 
 
@@ -800,7 +800,7 @@ def _reference_verify_specialization(cert, catalog):
         return Outcome(NOT_VERIFIED, "curve-not-generic", "det of the basis curve vanishes identically")
     composed = cert.curve
     if cert.pre_change is not None:
-        composed = matrix_over_trat(cert.pre_change, lam) * cert.curve
+        composed = matmul(matrix_over_trat(cert.pre_change, lam), cert.curve)
     if composed.determinant().is_zero():
         return Outcome(NOT_VERIFIED, "curve-not-generic", "composed curve is singular for all t")
     moved = _reference_transport(composed, sc_over_trat(src, lam), field=FIELD_TRAT)
@@ -845,7 +845,7 @@ def test_numerators_give_the_reference_valuations_and_limits(catalog):
     for cert in certs:
         curve = cert.curve
         if cert.pre_change is not None:
-            curve = matrix_over_trat(cert.pre_change, cert.lambda_sub) * curve
+            curve = matmul(matrix_over_trat(cert.pre_change, cert.lambda_sub), curve)
         src_t = sc_over_trat(catalog.entry(cert.source).sc, cert.lambda_sub)
         ref = _reference_transport(curve, src_t, field=FIELD_TRAT)
         nums, gnums, det = moved_numerators(curve, src_t, FIELD_TRAT)
@@ -866,7 +866,7 @@ def _bent(cert, powers):
     """The certificate with its curve times diag(1, t^a, t^b, t^c)."""
     diag = Matrix.from_rows([[T_VAR ** powers[r - 1] if r == c and r else int(r == c) for c in range(4)]
                              for r in range(4)], FIELD_TRAT)
-    return SpecializationCert(cert.source, cert.target, cert.pre_change, cert.curve * diag, cert.post_change,
+    return SpecializationCert(cert.source, cert.target, cert.pre_change, matmul(cert.curve, diag), cert.post_change,
                               cert.lambda_sub, cert.name)
 
 
@@ -894,7 +894,7 @@ def _assert_t_image_matches_reference(cert, src):
     b, nums, gnums, det, ascale, gscale = certs._t_image(cert, src)
     curve = cert.curve
     if cert.pre_change is not None:
-        curve = matrix_over_trat(cert.pre_change, None) * curve
+        curve = matmul(matrix_over_trat(cert.pre_change, None), curve)
     ref_nums, ref_gnums, ref_det = moved_numerators(curve, sc_over_trat(src, None), FIELD_TRAT)
     k, low = certs._int_order(b, det), certs._int_lowest(b, det)
     assert k == ref_det.order_at_zero()

@@ -332,7 +332,7 @@ ENTRIES = {
 
 
 def coords_in_basis(basis_cols, vec, field):
-    m = Matrix.from_rows([[field.lift(x) for x in col] for col in basis_cols], field).transpose()
+    m = Matrix.from_rows(list(zip(*basis_cols)), field)
     sol = m.solve([field.lift(x) for x in vec])
     if sol is None:
         raise SystemExit(f"vector {vec} lies outside the algebra span; bad basis data")
