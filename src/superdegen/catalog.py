@@ -125,11 +125,10 @@ def _k_major(flat, n):
     return [ij[i * n:(i + 1) * n] for i in range(n)]
 
 
-def entry_from_record(rec: dict, parsed=None) -> CatalogEntry:
+def entry_from_record(rec: dict, parsed: dict) -> CatalogEntry:
     """One validated entry; `parsed`, the dict of one load, maps each field's
     name to its literal table (`_parse_in`) and (field name, gamma literals)
     to the grading split made for them."""
-    parsed = {} if parsed is None else parsed
     for key in ("label", "n", "component", "parametric", "alpha", "gamma"):
         if key not in rec:
             raise CatalogParseError(f"catalog entry missing field {key!r}")

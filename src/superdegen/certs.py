@@ -73,14 +73,14 @@ from importlib import resources
 from math import factorial
 
 from .catalog import FORBIDDEN_LAMBDA, Catalog, CatalogEntry, UnknownLabel
-from .invariants import WrongComponent
+from .invariants import NotClosed, WrongComponent
 from .linalg import FIELD_C8, FIELD_LRAT, FIELD_TRAT, Matrix, adjugate, integer_polys
 from .cyclo import C8_ZERO, Cyclo8
 from .literals import ParseError, parse_scalar
 from .polys import porder
 from .scalars import LambdaRat
-from .structure import (NotInGroup, StructureConstants, _matmul, _moved, group_element, moved_numerators,
-                        transport, validate)
+from .structure import (AxiomError, NotAnInvolution, NotInGroup, StructureConstants, _matmul, _moved, group_element,
+                        moved_numerators, transport, validate)
 from .tpoly import TRat
 
 VERIFIED = "verified"
@@ -173,8 +173,7 @@ def _t_image(cert: SpecializationCert, sc: StructureConstants):
     b = (n ** 3 * factorial(n - 1) * m * max(map(len, polys)) ** n * top ** (n + 1)).bit_length() + 1
     c0 = [sum(x << b * k for k, x in enumerate(q)) for q in polys]
     c0 = [c0[r * n:(r + 1) * n] for r in range(n)]
-    g0 = c0 if p is None else [[sum(p[r * n + k] * c0[k][col] for k in range(n)) for col in range(n)]
-                               for r in range(n)]
+    g0 = c0 if p is None else _matmul([p[r * n:(r + 1) * n] for r in range(n)], c0, 0)
     adj, det = adjugate(g0)
     terms = [[{k: v for k in range(n) if (v := a[(i * n + j) * n + k])} for j in range(n)] for i in range(n)]
     nums, gnums = _moved(terms, [c[r * n:(r + 1) * n] for r in range(n)], g0, adj, 0)
@@ -292,7 +291,7 @@ def _verify(cert: SpecializationCert, src: StructureConstants, tgt: StructureCon
     limit = StructureConstants(n, limit_alpha, limit_gamma, field)
     try:
         validate(limit)
-    except Exception as exc:
+    except AxiomError as exc:
         return Outcome(NOT_VERIFIED, "limit", f"limit point violates the defining equations: {exc}")
     if failed is not None:
         return Outcome(NOT_VERIFIED, "post-change", str(failed))
@@ -384,7 +383,7 @@ def verify_obstruction(cert: ObstructionCert, catalog: Catalog) -> Outcome:
         if separates(cert.method, src_entry, tgt_entry):
             return Outcome(VERIFIED)
         in_src, in_tgt = src_entry.closed_sets[cert.method], tgt_entry.closed_sets[cert.method]
-    except Exception as exc:
+    except (WrongComponent, NotClosed, NotAnInvolution) as exc:
         return Outcome(NOT_VERIFIED, "closed-set", str(exc))
     return Outcome(NOT_VERIFIED, "closed-set",
                    f"set ({cert.method}) contains source={in_src}, target={in_tgt}; no separation")

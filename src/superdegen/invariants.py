@@ -27,7 +27,9 @@ they go to `linalg._int_rank` as they are.
 The closed, transport-stable sets A..E are decided in one pass over a
 point (`closed_set_member`): its table holds A and B, and C, D and E when
 dim A_0 = 2, with J(A_0) read off u^2 once (`square_zero_subspace_dim2`).
-The fingerprint reads its flags and dim J = int(C) from that table.
+The fingerprint reads its flags and dim J = int(C) from that table, and,
+when A holds, the dimension of the odd square: A says every odd product
+vanishes, so the odd products are formed and ranked only when A fails.
 """
 
 from __future__ import annotations
@@ -102,19 +104,13 @@ def stabilizer_dim(sc: StructureConstants, graded: bool = True) -> int:
         return m.cols - m.rank()
     slices = [_derivation_rows(n, terms, gamma, 0, graded, first) for terms, gamma in _slices(img)]
     cols = n * (n - first)
-    if len(slices) == 1:  # constants: the rows are the int matrix
+    if len(slices) == 1:  # constants: the rows are the int matrix, ranked at a third of int_poly_rank's cost
         return cols - _int_rank(map(tuple, slices[0]), cols)
     return cols - int_poly_rank([list(zip(*rows)) for rows in zip(*slices)], cols)
 
 
 def orbit_dim(sc: StructureConstants) -> int:
     return sc.n * sc.n - sc.n - stabilizer_dim(sc)
-
-
-def _span_rank(sc, vectors) -> int:
-    if not vectors:
-        return 0
-    return Matrix.from_rows([list(v) for v in vectors], sc.field).rank()
 
 
 def _coords_in(sc, basis, vector):
@@ -205,7 +201,7 @@ def _nonzero(vector) -> bool:
     return any(not c.is_zero() for c in vector)
 
 
-def closed_set_member(sc: StructureConstants, split=None) -> dict:
+def closed_set_member(sc: StructureConstants, split) -> dict:
     """The point's table of the closed, transport-stable sets: set name ->
     whether the point lies in it, in the order A, B, C, D, E.
 
@@ -214,7 +210,6 @@ def closed_set_member(sc: StructureConstants, split=None) -> dict:
     C: dim J(A_0) = 1; J is the square-zero subspace of A_0.
     D: C and J(A_0) * A_1 = 0.             E: C and A_1 * J(A_0) = 0.
     """
-    split = split or grading_split(sc)
     even, odd = split.basis0, split.basis1
     table = {"A": not any(_nonzero(sc.multiply(u, v)) for u in odd for v in odd),
              "B": not any(_nonzero(a - b for a, b in zip(sc.multiply(u, v), sc.multiply(v, u)))
@@ -248,8 +243,9 @@ def fingerprint(sc: StructureConstants) -> Fingerprint:
     split = grading_split(sc)
     stab = stabilizer_dim(sc)
     sets = closed_set_member(sc, split)
-    products = [sc.multiply(u, v) for u in split.basis1 for v in split.basis1]
-    dim_odd_square = _span_rank(sc, [p for p in products if _nonzero(p)])
+    # A holds exactly when every odd product vanishes
+    products = [] if sets["A"] else [p for u in split.basis1 for v in split.basis1 if _nonzero(p := sc.multiply(u, v))]
+    dim_odd_square = Matrix.from_rows(products, sc.field).rank()
     n = sc.n
     full = [tuple(sc.field.one if k == i else sc.field.zero for k in range(n)) for i in range(n)]
     dim_radical = len(radical_basis(sc, full))

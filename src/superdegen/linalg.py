@@ -298,9 +298,6 @@ class Matrix:
         flat = [field.one if r == c else field.zero for r in range(n) for c in range(n)]
         return cls(n, n, flat, field)
 
-    def at(self, r, c):
-        return self.entries[r * self.cols + c]
-
     def row(self, r):
         return self.entries[r * self.cols : (r + 1) * self.cols]
 

@@ -84,13 +84,13 @@ class NotInGroup(ValueError):
 class StructureConstants:
     __slots__ = ("n", "alpha", "gamma", "field", "validated", "image", "_terms")
 
-    def __init__(self, n, alpha, gamma, field, validated=False, image=None):
+    def __init__(self, n, alpha, gamma, field, image=None):
         lift = field.lift
         self.n = n
         self.alpha = tuple(tuple(tuple(map(lift, row)) for row in plane) for plane in alpha)
         self.gamma = tuple(tuple(map(lift, row)) for row in gamma)
         self.field = field
-        self.validated = validated
+        self.validated = False
         self.image = image  # the integer image; False for none, None until `_image` reads it
         self._terms = None
 
@@ -200,7 +200,7 @@ def _point(sc):
     if img is None:
         return sc.terms, sc.gamma, sc.field.one, sc.field.one, sc.field.zero
     den, alpha, eden, gamma, d = img
-    if not d:  # constants: the slice of l^0 is the point
+    if not d:  # constants: the slice of l^0 is the point, read at half the cost of evaluating at x0
         return (*_slices(img)[0], den, eden, 0)
     m = max(den, eden, *(abs(c) for rows in (*alpha, gamma) for row in rows for p in row for c in p))
     x = (sc.n ** 2 + sc.n) * (d + 1) ** 2 * m ** 3 + 1

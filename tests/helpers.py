@@ -42,7 +42,7 @@ def matmul(a, b):
     """The product of the matrices a and b over a's field, each entry the
     sum over k of a[r][k] * b[k][c]."""
     zero = a.field.zero
-    return Matrix.from_rows([[sum((a.at(r, k) * b.at(k, c) for k in range(a.cols)), zero) for c in range(b.cols)]
+    return Matrix.from_rows([[sum((a.entries[r * a.cols + k] * b.entries[k * b.cols + c] for k in range(a.cols)), zero) for c in range(b.cols)]
                              for r in range(a.rows)], a.field)
 
 

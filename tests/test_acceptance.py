@@ -165,9 +165,9 @@ def test_criterion_7_property_suite(catalog):
         split = grading_split(e.sc)  # raises unless gamma^2 = 1 and the unit is even
         i, n = split.dim0, e.n
         g = Matrix.from_rows(e.sc.gamma, e.sc.field)
-        tr = g.at(0, 0)
+        tr = g.entries[0]
         for r in range(1, n):
-            tr = tr + g.at(r, r)
+            tr = tr + g.entries[r * g.cols + r]
         assert tr == 2 * i - n
         assert g.determinant() == (-1) ** (n - i)
     # (d) the 2-dimensional non-homogeneous specialization vector

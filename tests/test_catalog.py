@@ -39,7 +39,7 @@ def test_wrong_gamma_sign_is_rejected():
     gamma[5] = "-1"  # flip the sign of an even basis vector
     rec["gamma"] = gamma
     with pytest.raises((ValidationError, CatalogParseError)):
-        entry_from_record(rec)
+        entry_from_record(rec, {})
 
 
 def test_lambda_specialized_entry_is_rejected():
@@ -47,7 +47,7 @@ def test_lambda_specialized_entry_is_rejected():
     rec = next(dict(r) for r in recs if r["label"] == "(18;l|1)")
     rec["alpha"] = [lit.replace("l", "1") for lit in rec["alpha"]]
     with pytest.raises(ValidationError):
-        entry_from_record(rec)
+        entry_from_record(rec, {})
 
 
 def test_empty_file_is_a_parse_error(tmp_path):

@@ -13,6 +13,7 @@ from superdegen.certs import (NOT_VERIFIED, UNSUPPORTED, VERIFIED, CertFormatErr
                               SpecializationCert, cert_from_record, load_cert_file,
                               scaling_cert, verify_cert, verify_obstruction,
                               verify_specialization)
+from superdegen.invariants import NotClosed
 from superdegen.linalg import FIELD_C8, FIELD_TRAT, Matrix
 from superdegen.structure import StructureConstants, validate
 from superdegen.tpoly import T_VAR
@@ -171,14 +172,29 @@ def test_closed_set_outcomes_keep_their_detail_strings(catalog):
 
 
 def test_closed_set_table_error_is_the_detail(monkeypatch):
-    def broken(sc, split=None):
-        raise ValueError("the even part is not closed under multiplication")
+    def broken(sc, split):
+        raise NotClosed("the even part is not closed under multiplication")
     monkeypatch.setattr(catalog_module, "closed_set_member", broken)
     fresh = load_catalog()
     for m in ("A", "C"):
         assert verify_obstruction(ObstructionCert("(16|3)", "(16|1)", m), fresh) == Outcome(
             NOT_VERIFIED, "closed-set", "the even part is not closed under multiplication")
     assert verify_obstruction(ObstructionCert("(16|3)", "(16|1)", "OD"), fresh).status == NOT_VERIFIED
+
+
+def test_a_fault_in_the_engine_is_a_traceback_not_a_verdict(catalog, monkeypatch):
+    # only the errors the limit check and the closed sets raise become
+    # not_verified outcomes; any other exception propagates
+    def broken(*args):
+        raise TypeError("engine fault")
+    cert = _cert("(7|1)", "(9|1)", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, t]])
+    monkeypatch.setattr(certs_module, "validate", broken)
+    with pytest.raises(TypeError, match="engine fault"):
+        verify_specialization(cert, catalog)
+    monkeypatch.setattr(catalog_module, "closed_set_member", broken)
+    fresh = load_catalog()
+    with pytest.raises(TypeError, match="engine fault"):
+        verify_obstruction(ObstructionCert("(16|3)", "(16|1)", "A"), fresh)
 
 
 def test_underlying_requires_table(catalog):

@@ -152,12 +152,12 @@ def test_square_zero_line_needs_a_closed_span(catalog, label, basis):
 
 
 def test_closed_set_examples(catalog):
-    assert closed_set_member(catalog.get("(9|2)"))["A"]
-    assert closed_set_member(catalog.get("(16|3)"))["D"]
-    assert not closed_set_member(catalog.get("(16|1)"))["D"]
-    assert closed_set_member(catalog.get("(13|1)"))["B"]
-    assert not closed_set_member(catalog.get("(14|1)"))["B"]
-    assert "C" not in closed_set_member(catalog.get("(14|1)"))  # 3-dimensional even part
+    assert catalog.entry("(9|2)").closed_sets["A"]
+    assert catalog.entry("(16|3)").closed_sets["D"]
+    assert not catalog.entry("(16|1)").closed_sets["D"]
+    assert catalog.entry("(13|1)").closed_sets["B"]
+    assert not catalog.entry("(14|1)").closed_sets["B"]
+    assert "C" not in catalog.entry("(14|1)").closed_sets  # 3-dimensional even part
 
 
 # --- the one closed-set pass against the five-branch membership test ---
@@ -282,6 +282,48 @@ def test_auto_obstructions_take_the_first_separating_method(graph):
     assert auto > 0
 
 
+# --- dim of the odd square: read off set A when A holds ---
+
+def _odd_square_rank(sc):
+    """The rank of all nonzero products of two odd basis vectors."""
+    odd = grading_split(sc).basis1
+    products = [sc.multiply(u, v) for u in odd for v in odd]
+    products = [p for p in products if any(not c.is_zero() for c in p)]
+    return Matrix.from_rows(products, sc.field).rank() if products else 0
+
+
+def _assert_odd_square_matches_rank(sc):
+    fp = fingerprint(sc)
+    assert fp.dim_odd_square == _odd_square_rank(sc)
+    return fp.flag_a, fp.flag_b, fp.dim_odd_square > 0
+
+
+def test_odd_square_matches_rank_on_entries(catalog):
+    seen = Counter(_assert_odd_square_matches_rank(e.sc) for e in catalog.entries.values())
+    # A fails on some entries where B holds, so neither flag stands in for the other
+    assert seen[True, True, False] and seen[False, True, True] and sum(seen.values()) == 61, seen
+
+
+def test_odd_square_matches_rank_on_fuzz_points(benchmark_points):
+    # one pass of each fuzz workload on seeds 101 and 7
+    seen = Counter()
+    for workload in ("fuzz-fixed", "fuzz-family"):
+        for seed in (101, 7):
+            seen.update(_assert_odd_square_matches_rank(sc) for sc in benchmark_points(workload, seed))
+    assert seen[True, True, False] and seen[False, True, True] and sum(seen.values()) == 2 * (116 + 60), seen
+
+
+def test_odd_square_matches_rank_on_z_and_l_denominator_moves(catalog):
+    # the entries with a 2-dimensional even part over Q(z)(l), moved by the g
+    # of the square-zero test above
+    L = LAMBDA
+    g = Matrix.from_rows([[1, 0, 1 / (L + 1), 0], [0, 1, 0, ZETA], [0, 0, 1, 0], [0, 0, 1 - ZETA, 1 + L]], FIELD_LRAT)
+    seen = Counter(_assert_odd_square_matches_rank(transport(g, StructureConstants(4, e.sc.alpha, e.sc.gamma,
+                                                                                   FIELD_LRAT)))
+                   for e in catalog.entries.values() if e.component == 2)
+    assert seen[True, True, False] and seen[False, True, True], seen
+
+
 def test_fingerprint_separates_and_collides(catalog):
     fp1 = fingerprint(catalog.get("(16|1)"))
     fp2 = fingerprint(catalog.get("(16|2)"))
@@ -396,7 +438,9 @@ def test_unvalidated_point_takes_the_full_system(catalog):
 
 def _matrix_path(sc):
     """sc without an integer image: `stabilizer_dim` then ranks with Matrix.rank."""
-    return StructureConstants(sc.n, sc.alpha, sc.gamma, sc.field, validated=sc.validated, image=False)
+    plain = StructureConstants(sc.n, sc.alpha, sc.gamma, sc.field, image=False)
+    plain.validated = sc.validated
+    return plain
 
 
 def _rank_calls(monkeypatch):
@@ -439,8 +483,9 @@ def test_degree_0_stabilizer_matches_the_matrix_rank_path_on_perturbed_points(ca
                 r, c = rng.randrange(4), rng.randrange(4)
                 gamma[r][c] += delta
             for validated in (True, False):
-                point = StructureConstants(4, alpha, gamma, FIELD_LRAT, validated=validated)
-                plain = StructureConstants(4, alpha, gamma, FIELD_C8, validated=validated)
+                point = StructureConstants(4, alpha, gamma, FIELD_LRAT)
+                plain = StructureConstants(4, alpha, gamma, FIELD_C8)
+                point.validated = plain.validated = validated
                 assert invariants._image(point)[4] == 0 and invariants._image(plain) is None
                 for graded in (True, False):
                     calls.clear()

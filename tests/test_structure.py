@@ -271,7 +271,7 @@ def _reference_transport(g: Matrix, sc: StructureConstants, field=None) -> Struc
     except Singular as exc:
         raise NotInGroup(str(exc)) from exc
     z = field.zero
-    lam = [[field.lift(g.at(r, c)) for c in range(n)] for r in range(n)]
+    lam = [[field.lift(g.entries[r * g.cols + c]) for c in range(n)] for r in range(n)]
     # C[i][q][l] = sum_p lam[p][i] * alpha[p][q][l]
     C = [[[z] * n for _ in range(n)] for _ in range(n)]
     for p in range(n):
@@ -305,7 +305,7 @@ def _reference_transport(g: Matrix, sc: StructureConstants, field=None) -> Struc
             for k in range(n):
                 acc = z
                 for l in range(n):
-                    nk = nu.at(k, l)
+                    nk = nu.entries[k * nu.cols + l]
                     if not (nk.is_zero() or Bij[l].is_zero()):
                         acc = acc + nk * Bij[l]
                 alpha[i][j][k] = acc
