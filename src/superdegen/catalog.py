@@ -204,6 +204,14 @@ class Catalog:
     def __len__(self):
         return len(self.entries)
 
+    @property
+    def n(self) -> int:
+        """The dimension every entry shares; CatalogError when there is none."""
+        dims = sorted({e.n for e in self.entries.values()})
+        if len(dims) != 1:
+            raise CatalogError(f"catalog mixes dimensions {dims}" if dims else "catalog holds no entries")
+        return dims[0]
+
     def __contains__(self, label):
         return label in self.entries
 

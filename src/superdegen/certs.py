@@ -458,9 +458,10 @@ def _parse_curve(rec, n, parsed):
     return Matrix(n, n, entries, FIELD_TRAT)
 
 
-def cert_from_record(rec: dict, n: int = 4, parsed=None):
-    """One certificate from its JSON record; CertFormatError names the field
-    of any record that does not follow data/schema.md; `parsed` as in `_literal`."""
+def cert_from_record(rec: dict, n: int, parsed=None):
+    """One certificate, with n x n matrices, from its JSON record;
+    CertFormatError names the field of any record that does not follow
+    data/schema.md; `parsed` as in `_literal`."""
     parsed = {} if parsed is None else parsed
     if not isinstance(rec, dict):
         raise CertFormatError(f"expected an object, got {_json_type(rec)}")
@@ -487,8 +488,9 @@ def cert_from_record(rec: dict, n: int = 4, parsed=None):
     )
 
 
-def load_cert_file(path_or_name):
-    """Load a certificate file; bare names resolve inside the packaged data.
+def load_cert_file(path_or_name, n: int):
+    """Load a certificate file of n x n matrices; bare names resolve inside
+    the packaged data.
 
     A file that is not UTF-8 JSON in the layout of data/schema.md raises
     CertFormatError (naming the record index and field), OSError or
@@ -509,7 +511,7 @@ def load_cert_file(path_or_name):
     certs, parsed = [], {}
     for index, rec in enumerate(records):
         try:
-            certs.append(cert_from_record(rec, parsed=parsed))
+            certs.append(cert_from_record(rec, n, parsed))
         except CertFormatError as exc:
             raise CertFormatError(f"record {index}: {exc}") from exc
     return certs

@@ -102,9 +102,10 @@ def cmd_tables(args) -> reports.RunReport:
 def cmd_check(args) -> reports.RunReport:
     rep = reports.RunReport("check")
     catalog = _load(args)
+    n = catalog.n
     for path in args.certfiles:
         try:
-            certs = load_cert_file(path)
+            certs = load_cert_file(path, n)
         except (CertFormatError, OSError, json.JSONDecodeError) as exc:
             rep.add(path, reports.ERROR, f"cannot load: {exc}")
             continue

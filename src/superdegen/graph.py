@@ -199,11 +199,11 @@ def generic_structures(graph: DegenerationGraph, component: int):
 
 
 def load_default_graph(catalog: Catalog) -> DegenerationGraph:
-    specs = load_cert_file("spec_dim3") + load_cert_file("spec_dim2")
-    fams = load_cert_file("family_limits")
-    obstructions = (load_cert_file("obstructions_dim3") + load_cert_file("obstructions_dim2")
-                    + load_cert_file("obstructions_dim0"))
-    return build_graph(catalog, specs, fams, obstructions, load_undetermined())
+    def shipped(*names):  # the packaged certificate files hold 4-dimensional data
+        return [cert for name in names for cert in load_cert_file(name, 4)]
+
+    return build_graph(catalog, shipped("spec_dim3", "spec_dim2"), shipped("family_limits"),
+                       shipped("obstructions_dim3", "obstructions_dim2", "obstructions_dim0"), load_undetermined())
 
 
 # ------------------------------------------------------------- emission

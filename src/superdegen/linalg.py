@@ -2,8 +2,10 @@
 
 Three algorithms, one job each:
 
-- integer elimination (`_int_forward`, `_int_rank`) takes every rank;
-- `_reduced` gives kernel bases, solutions and the inverse;
+- integer elimination (`_int_forward`, `_int_rank`) takes every rank
+  that has an integer image;
+- field elimination (`_forward`) takes the other ranks, and with its back
+  pass (`_reduced`) gives kernel bases, solutions and the inverse;
 - cofactors (`_minor`) give the determinant and the adjugate, with ring
   operations only, on ints, polynomials and field scalars.  They cost n!
   products, and every square matrix here has n <= 4.
@@ -20,22 +22,19 @@ tracer (`perfbench/layers.py`) wraps it by name.  `Matrix` has no
 product: the package's one matrix product is `structure._matmul`, on row
 lists.
 
-Rank is taken on the integer image.  Multiplying a row by a nonzero scalar
-keeps the rank.  A row over Q(z)(l) is multiplied by the lcm of its
-denominators, so every entry becomes a polynomial in l of degree at most d
-(a Q(z) matrix is the case d = 0), and the matrix by the lcm of all
-coefficient denominators.  With no z-part, every entry is then an int
-polynomial, and the rank over Q(l) is read on ints at one value of l
-(below).  Duplicate and zero rows of the int matrix are dropped, and
-elimination runs without fractions: a row below a pivot p with entry a in
-the pivot column becomes p*row - a*prow, divided by the gcd of its entries.
-
-A coefficient with a z-part takes the regular representation: each entry
-is written on 1, z, z^2, z^3, and each row becomes the four rows z^e * row
-(e = 0..3), so an r x c matrix over Q(z)(l) becomes a 4r x 4c matrix over
-Q(l).  Its row space is the row space over Q(z)(l) read as a Q(l)-space,
-and Q(z)(l) has degree 4 over Q(l), so its rank is 4 times the rank over
-Q(z)(l).  Multiplying by z maps (a0, a1, a2, a3) to (-a3, a0, a1, a2).
+Rank is taken on ints wherever there is an integer image, and by field
+elimination everywhere else.  Multiplying a row by a nonzero scalar keeps
+the rank.  A row over Q(z)(l) is multiplied by the lcm of its denominators,
+so every entry becomes a polynomial in l of degree at most d (a Q(z) matrix
+is the case d = 0), and the matrix by the lcm of all coefficient
+denominators.  With no z-part, every entry is then an int polynomial, and
+the rank over Q(l), which is the rank over Q(z)(l), is read on ints at one
+value of l (below).  Duplicate and zero rows of the int matrix are dropped,
+and elimination runs without fractions: a row below a pivot p with entry a
+in the pivot column becomes p*row - a*prow, divided by the gcd of its
+entries.  A coefficient with a z-part leaves no integer image, and the
+matrix is ranked by `_forward` in its own field.  There is no rank over
+Q(z)(l)(t).
 
 Over Q(l) the rank is read at one point above a root bound
 (`int_poly_rank`).  Let the int polynomials have l-degree at most d and
@@ -49,8 +48,6 @@ x satisfies |x| < 1 + H / |leading coefficient|; M. Mignotte, Mathematics
 for Computer Algebra, 1992, 4.1).  So a minor is nonzero exactly when it
 is nonzero at l0 = H + 1, and the rank over Q(l) is the rank of the int
 matrix evaluated at l0: one elimination, with nothing left to certify.
-The regular representation is ranked the same way, with 4r rows and 4c
-columns.
 """
 
 from __future__ import annotations
@@ -182,22 +179,6 @@ def integer_polys(polys):
     return den, [[x.c[0] * (den // x.d) for x in p] for p in polys]
 
 
-def _regular(polys):
-    """The regular representation of rows of Q(z)[l] polynomials (module
-    docstring), times the lcm of their coefficient denominators: each row
-    becomes the four rows z^e * row (e = 0..3), and each entry its four int
-    polynomials on 1, z, z^2, z^3.  Multiplying by z maps (a0, a1, a2, a3)
-    to (-a3, a0, a1, a2)."""
-    den = lcm(*{c.d for row in polys for p in row for c in p})
-    out = []
-    for row in polys:
-        vecs = [[[a * (den // c.d) for a in c.c] for c in p] for p in row]
-        for _ in range(4):
-            out.append([[v[k] for v in p] for p in vecs for k in range(4)])
-            vecs = [[[-v[3], v[0], v[1], v[2]] for v in p] for p in vecs]
-    return out
-
-
 def _int_forward(m, cols):
     """Forward elimination without fractions, in place on rows of ints: each
     row below a pivot p with entry a in the pivot column becomes
@@ -241,16 +222,6 @@ def int_poly_rank(rows, cols):
     k = min(len(rows), cols)
     l0 = factorial(k) * (d + 1) ** max(k - 1, 0) * c ** k + 1
     return _int_rank([tuple(peval(p, l0, 0) if any(p) else 0 for p in row) for row in rows], cols)
-
-
-def _poly_rank(polys, cols):
-    """Rank over Q(z)(l) of rows of Q(z)[l] polynomials: on their integer
-    image, or a quarter of the rank of their regular representation when a
-    coefficient has a z-part (module docstring)."""
-    image = integer_polys([p for row in polys for p in row])
-    if image is None:
-        return int_poly_rank(_regular(polys), 4 * cols) // 4
-    return int_poly_rank(list(zip(*[iter(image[1])] * cols)), cols)  # the flat image cut back into rows
 
 
 def _minor(m, rows, cols, one):
@@ -317,16 +288,19 @@ class Matrix:
     __hash__ = None
 
     def rank(self) -> int:
-        """Rank by integer elimination (module docstring); there is none
-        over Q(z)(l)(t)."""
+        """On the integer image where there is one, else by `_forward`
+        (module docstring); there is no rank over Q(z)(l)(t)."""
         if self.field is FIELD_LRAT:
-            return _poly_rank([_cleared_row(row) for row in self.to_lists()], self.cols)
-        if self.field is not FIELD_C8:
+            image = integer_polys([p for row in self.to_lists() for p in _cleared_row(row)])
+            if image is not None:  # the flat image cut back into rows
+                return int_poly_rank(list(zip(*[iter(image[1])] * self.cols)), self.cols)
+        elif self.field is FIELD_C8:
+            image = integer_polys([self.entries])
+            if image is not None:  # the rows of the flat image
+                return _int_rank(zip(*[iter(image[1][0])] * self.cols), self.cols)
+        else:
             raise TypeError(f"rank over {self.field.name} is not implemented")
-        image = integer_polys([self.entries])
-        if image is None:
-            return _poly_rank([[(x,) for x in row] for row in self.to_lists()], self.cols)
-        return _int_rank(zip(*[iter(image[1][0])] * self.cols), self.cols)  # rows of the flat image
+        return len(_forward(self.to_lists(), self.cols, []))
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column, in column order."""

@@ -151,12 +151,15 @@ def porder(a) -> int:
 
 
 def _poly_literal(cs, var: str) -> str:
-    """Literal of a polynomial in var; a coefficient that is itself a
-    rational function is always parenthesised."""
+    """Literal of a polynomial in var; a coefficient that is a constant
+    rational function prints as its constant, and any other rational
+    function is always parenthesised."""
     parts = []
     for k, c in enumerate(cs):
         if c.is_zero():
             continue
+        if isinstance(c, RatFunc) and c.is_constant():
+            c = c.num[0]
         lit = str(c)
         if not isinstance(c, Cyclo8) or (k and ("+" in lit[1:] or "-" in lit[1:] or "/" in lit)):
             lit = f"({lit})"

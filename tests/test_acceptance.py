@@ -71,9 +71,9 @@ def test_criterion_2_and_3_dimension_tables(catalog):
 
 def test_criterion_4_existence_suite(catalog):
     t0 = time.time()
-    dim3 = load_cert_file("spec_dim3")
-    dim2 = load_cert_file("spec_dim2")
-    fams = load_cert_file("family_limits")
+    dim3 = load_cert_file("spec_dim3", 4)
+    dim2 = load_cert_file("spec_dim2", 4)
+    fams = load_cert_file("family_limits", 4)
     assert len(dim3) == 17
     assert len(dim2) == 21
     assert any(c.source == "(18;l|2)" and c.target == "(8|3)" for c in dim2)
@@ -95,8 +95,8 @@ def test_criterion_4_existence_suite(catalog):
 
 def test_criterion_5_nonexistence_suite(catalog):
     t0 = time.time()
-    certs = (load_cert_file("obstructions_dim3") + load_cert_file("obstructions_dim2")
-             + load_cert_file("obstructions_dim0"))
+    certs = (load_cert_file("obstructions_dim3", 4) + load_cert_file("obstructions_dim2", 4)
+             + load_cert_file("obstructions_dim0", 4))
     assert len(certs) == 24 + 39 + 8
     erratum_hits = []
     for cert in certs:

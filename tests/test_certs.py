@@ -18,6 +18,8 @@ from superdegen.linalg import FIELD_C8, FIELD_TRAT, Matrix
 from superdegen.structure import StructureConstants, validate
 from superdegen.tpoly import T_VAR
 
+from helpers import DIM2_CERT, DIM2_ENTRIES
+
 
 def _cert(source, target, curve_rows, pre_rows=None, post_rows=None):
     return SpecializationCert(
@@ -77,13 +79,13 @@ def test_scaling_certs(catalog):
 
 
 def test_family_limits_shipped(catalog):
-    for cert in load_cert_file("family_limits"):
+    for cert in load_cert_file("family_limits", 4):
         assert verify_cert(cert, catalog).verified, cert.describe()
 
 
 def test_family_limit_forbidden_constant(catalog):
     rec = {"kind": "family_limit", "source": "(18;l|1)", "target": "(16|1)", "lambda": "1"}
-    out = verify_cert(cert_from_record(rec), catalog)
+    out = verify_cert(cert_from_record(rec, n=4), catalog)
     assert not out.verified and out.stage == "substitution"
 
 
@@ -96,7 +98,7 @@ def test_a_pole_of_the_source_constants_is_a_substitution_verdict(catalog):
     g = Matrix.from_rows([[(1 if r == 0 else d) if r == c else 0 for c in range(4)] for r in range(4)], FIELD_LRAT)
     src = transport(g, catalog.get("(18;l|2)"))
     rec = {"kind": "family_limit", "source": "(18;l|2)", "target": "(16|3)", "lambda": "2"}
-    out = certs_module._verify(cert_from_record(rec), src, catalog.get("(16|3)"))
+    out = certs_module._verify(cert_from_record(rec, n=4), src, catalog.get("(16|3)"))
     assert out == Outcome(NOT_VERIFIED, "substitution", "(1)/(-2+l) has a pole at l = 2")
 
 
@@ -127,7 +129,7 @@ def test_family_limits_give_an_outcome_and_never_raise(catalog, rec):
     # a substitution verdict is the excluded -1 or a pre-change entry with a
     # pole at a constant lambda, as 1/(l-2) at 2: the shipped families'
     # constants are polynomials in l
-    out = verify_cert(cert_from_record(rec), catalog)
+    out = verify_cert(cert_from_record(rec, n=4), catalog)
     assert isinstance(out, Outcome)
     if out.stage == "substitution":
         assert rec["lambda"] == "-1" or out.detail.endswith(f"has a pole at l = {rec['lambda']}")
@@ -135,13 +137,13 @@ def test_family_limits_give_an_outcome_and_never_raise(catalog, rec):
 
 def test_shipped_specializations(catalog):
     for name in ("spec_dim3", "spec_dim2"):
-        for cert in load_cert_file(name):
+        for cert in load_cert_file(name, 4):
             assert verify_cert(cert, catalog).verified, cert.describe()
 
 
 def test_shipped_obstructions(catalog):
     for name in ("obstructions_dim3", "obstructions_dim2", "obstructions_dim0"):
-        for cert in load_cert_file(name):
+        for cert in load_cert_file(name, 4):
             out = verify_cert(cert, catalog)
             assert out.status == cert.expected, (cert.describe(), str(out))
 
@@ -218,30 +220,16 @@ def test_erratum_pair_has_a_genuine_specialization(catalog):
                           "0", "0", "1", "-1", "0", "0", "1", "1"],
            "curve": ["1", "0", "0", "0", "0", "t", "0", "0",
                      "0", "0", "1", "0", "0", "0", "0", "t"]}
-    assert verify_cert(cert_from_record(rec), catalog).verified
+    assert verify_cert(cert_from_record(rec, n=4), catalog).verified
 
 
 def test_certs_against_a_two_dimensional_catalog_file(tmp_path):
     # the loader and the engine are dimension-generic: a small catalog of
     # 2-dimensional structures supports label-resolved certificates
-    import json as _json
-
-    from superdegen.catalog import load_catalog
-
-    def rec(label, alpha_lits, gamma_lits, component):
-        return {"label": label, "n": 2, "component": component, "parametric": False,
-                "alpha": alpha_lits, "gamma": gamma_lits,
-                "expected_stab_dim": 0, "expected_orbit_dim": 2}
-
-    # k-major alpha for n=2: [a^1_11, a^1_12, a^1_21, a^1_22, a^2_11, a^2_12, a^2_21, a^2_22]
-    split_pair = rec("(kxk|1)", ["1", "0", "0", "1", "0", "1", "1", "0"], ["1", "0", "0", "-1"], 1)
-    dual = rec("(dual|1)", ["1", "0", "0", "0", "0", "1", "1", "0"], ["1", "0", "0", "-1"], 1)
     p = tmp_path / "dim2.json"
-    p.write_text(_json.dumps({"entries": [split_pair, dual]}))
+    p.write_text(json.dumps({"entries": DIM2_ENTRIES}))
     cat2 = load_catalog(str(p))
-    rec2 = {"kind": "specialization", "source": "(kxk|1)", "target": "(dual|1)",
-            "curve": ["1", "t", "0", "t"]}
-    assert verify_cert(cert_from_record(rec2, n=2), cat2).verified
+    assert verify_cert(cert_from_record(DIM2_CERT, n=2), cat2).verified
 
 
 def test_nonhomogeneous_dimension2_vector():
@@ -268,7 +256,7 @@ def test_pole_with_an_l_dependent_pre_change_is_reported_in_time(catalog):
            "curve": ["1", "0", "0", "0", "0", "1+t+2*t^2", "t-t^2", "3*t+t^2", "0", "2*t+t^2", "1-t+t^2", "t^2",
                      "0", "t+3*t^2", "2+t", "t-2*t^2"]}
     start = time.perf_counter()
-    out = verify_cert(cert_from_record(rec), catalog)
+    out = verify_cert(cert_from_record(rec, n=4), catalog)
     assert time.perf_counter() - start < 2
     assert out.stage == "regularity" and out.detail.startswith("alpha[2][2][4] = ")
 
@@ -288,10 +276,10 @@ def test_each_distinct_literal_is_parsed_once_per_file(monkeypatch):
         wanted = {lit for rec in _shipped(name) for key in ("pre_change", "curve", "post_change")
                   for lit in rec.get(key) or []}
         wanted |= {rec["lambda"] for rec in _shipped(name) if rec.get("lambda")}
-        first = load_cert_file(name)
+        first = load_cert_file(name, 4)
         assert sorted(calls) == sorted(wanted), name
         # a second load parses them again: the dict lives for one load
-        assert [str(c) for c in load_cert_file(name)] == [str(c) for c in first]
+        assert [str(c) for c in load_cert_file(name, 4)] == [str(c) for c in first]
         assert sorted(calls) == sorted(list(wanted) * 2), name
         calls.clear()
 
@@ -327,5 +315,5 @@ def test_a_bad_literal_after_good_duplicates_keeps_its_message(tmp_path, name, i
     path = tmp_path / "certs.json"
     path.write_text(json.dumps({"certs": records}))
     with pytest.raises(CertFormatError) as info:
-        load_cert_file(str(path))
+        load_cert_file(str(path), 4)
     assert str(info.value) == message

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from superdegen.cli import main
 
+from helpers import DIM2_CERT, DIM2_ENTRIES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -121,6 +123,36 @@ def _catalog_with(tmp_path, label, diagonal=None):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(records))
     return str(path), rec
+
+
+def _dim2_files(tmp_path, entries):
+    """A catalog of the given entries and a file holding DIM2_CERT, written to tmp_path."""
+    catalog, certs = tmp_path / "dim2.json", tmp_path / "cert2.json"
+    catalog.write_text(json.dumps({"entries": entries}))
+    certs.write_text(json.dumps({"certs": [DIM2_CERT]}))
+    return str(catalog), str(certs)
+
+
+def test_check_reads_certificates_at_the_catalog_dimension(tmp_path, capsys):
+    catalog, certs = _dim2_files(tmp_path, DIM2_ENTRIES)
+    code, out = run(capsys, "--catalog", catalog, "check", certs)
+    assert (code, out) == (0, f"        PASS  {certs}: (kxk|1) -> (dual|1)  Verified\n[check] 1 pass; exit 0\n")
+    # the packaged files hold 4-dimensional data
+    code, out = run(capsys, "--catalog", catalog, "check", "spec_dim2")
+    assert code == 2 and "cannot load: record 0: field 'pre_change': needs 4 literals, got 16" in out
+    # diagram reads the packaged files as 4-dimensional data whatever the catalog
+    assert main(["--catalog", catalog, "diagram", "--component", "1"]) == 2
+    assert capsys.readouterr().err == "error: (1|1) -> (2|1): not_verified[labels]: no catalog entry '(1|1)'\n"
+
+
+def test_check_needs_one_catalog_dimension(tmp_path, capsys):
+    shipped = json.loads(importlib.resources.files("superdegen.data").joinpath("catalog.json").read_text("utf-8"))
+    for entries, message in ((DIM2_ENTRIES + shipped["entries"][:1], "catalog mixes dimensions [2, 4]"),
+                             ([], "catalog holds no entries")):
+        catalog, certs = _dim2_files(tmp_path, entries)
+        assert main(["--catalog", catalog, "check", certs]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
 def _pole_catalog(tmp_path):

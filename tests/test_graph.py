@@ -81,8 +81,8 @@ def test_no_edge_between_same_algebra_gradings(graph):
 def test_contradiction_aborts(catalog, monkeypatch):
     # (7|1) -> (8|1) is a verified edge; an obstruction of the same pair that
     # counts as verified must abort assembly
-    specs = load_cert_file("spec_dim3") + load_cert_file("spec_dim2")
-    fams = load_cert_file("family_limits")
+    specs = load_cert_file("spec_dim3", 4) + load_cert_file("spec_dim2", 4)
+    fams = load_cert_file("family_limits", 4)
     bogus = ObstructionCert("(7|1)", "(8|1)", "UNDERLYING")
     real = graph_module.verify_cert
     monkeypatch.setattr(graph_module, "verify_cert",
@@ -103,7 +103,7 @@ _POLE = {"kind": "family_limit", "source": "(18;l|1)", "target": "(16|1)", "lamb
      "(9|1) -/-> (9|1) (OD): not_verified[orbit-dim]: trivial pair"),
 ], ids=("specialization", "family-limit", "obstruction"))
 def test_a_failed_certificate_recorded_as_verified_aborts(catalog, specs, family_limits, obstructions, message):
-    specs, family_limits, obstructions = ([cert_from_record(r) for r in recs]
+    specs, family_limits, obstructions = ([cert_from_record(r, n=4) for r in recs]
                                           for recs in (specs, family_limits, obstructions))
     with pytest.raises(UnverifiedCert) as info:
         build_graph(catalog, specs, family_limits, obstructions, [])

@@ -151,22 +151,22 @@ L = LAMBDA
 
 @contextmanager
 def _rank_branches():
-    """Counts the ranks taken ("rank", one `_int_rank` each) and those of
-    them that ran through the regular representation ("regular")."""
+    """Counts the ranks taken on the integer image ("rank", one `_int_rank`
+    each) and those taken by field elimination ("forward", one `_forward` each)."""
     ran = Counter()
-    real_rank, real_regular = linalg._int_rank, linalg._regular
+    real_rank, real_forward = linalg._int_rank, linalg._forward
 
     def rank(*args):
         ran["rank"] += 1
         return real_rank(*args)
 
-    def regular(polys):
-        ran["regular"] += 1
-        return real_regular(polys)
+    def forward(*args):
+        ran["forward"] += 1
+        return real_forward(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_int_rank", rank)
-        mp.setattr(linalg, "_regular", regular)
+        mp.setattr(linalg, "_forward", forward)
         yield ran
 
 
@@ -177,12 +177,12 @@ def _has_z(rows):
 
 
 def _rank_on_its_branch(rows, field=FIELD_LRAT):
-    """The rank of rows, checked to have run through the regular
-    representation exactly when an entry has a z-part."""
+    """The rank of rows, checked to have run `_forward` exactly when an
+    entry has a z-part, and `_int_rank` once otherwise."""
     m = Matrix.from_rows(rows, field)
     with _rank_branches() as ran:
         rank = m.rank()
-    assert ran == Counter(rank=1, regular=_has_z(m.to_lists())), ran
+    assert ran == (Counter(forward=1) if _has_z(m.to_lists()) else Counter(rank=1)), ran
     return m, rank
 
 
@@ -194,7 +194,7 @@ def _rank_on_its_branch(rows, field=FIELD_LRAT):
     ([[1 / (L - 1), 1 / L], [1, 1]], 2),  # denominators that vanish at l = 0 and l = 1
     ([[L / (L + 1), 1], [L * (L - 1), L * L - 1]], 1),  # second row is l^2 - 1 times the first
     ([[0, 0], [0, 0]], 0),
-    # a z-part takes the regular representation
+    # a z-part is ranked by _forward
     ([[L, ZETA], [ZETA * L, ZETA * ZETA]], 1),  # second row is z times the first
     ([[L - ZETA, 0], [0, L * (L - 1)]], 2),
     ([[1 / (L + ZETA), 1], [1, L + ZETA]], 1),
@@ -219,7 +219,7 @@ _K_ROOT = [[1 - L, -1 - L, 0], [-1 - L, 1, -L], [1 - L, 1 - L, -1]]
     (_K_ROOT, 3),
     (_K_ROOT + [[x + y for x, y in zip(_K_ROOT[0], _K_ROOT[1])]], 3),
     ([[2 * L - 1, 3 * L + 1 - 6 * _C], [1 / (L - _C), 1 / (L - 2 * _C)]], 2),  # denominators vanish at c, 2c
-    # z-parts, through the regular representation
+    # z-parts, by _forward
     ([[ZETA * (L - _C * _C)]], 1),
     ([[ZETA * (L - _C), ZETA * _C], [_C, L - _C]], 2),  # det z l (l - 2c)
     ([[(1 + ZETA) * x for x in row] for row in _K_ROOT], 3),
@@ -281,7 +281,7 @@ def _planted_rank_matches_reference(planted):
 def test_rank_over_lambda_matches_reference():
     with _rank_branches() as ran:
         _planted_rank_matches_reference()
-    assert ran["regular"] >= 10 and ran["rank"] - ran["regular"] >= 10, ran
+    assert ran["forward"] >= 10 and ran["rank"] >= 10, ran
 
 
 def test_residual_rank_reads_the_pivot_columns_of_forward():
@@ -363,7 +363,7 @@ def _residual_rank_matches_reference(planted):
 def test_residual_rank_with_constant_rows_matches_reference():
     with _rank_branches() as ran:
         _residual_rank_matches_reference()
-    assert ran["regular"] >= 10 and ran["rank"] - ran["regular"] >= 10, ran
+    assert ran["forward"] >= 10 and ran["rank"] >= 10, ran
 
 
 Z = ZETA
@@ -416,7 +416,7 @@ def _planted_qz_rank_matches_reference(planted):
 def test_rank_over_qz_with_z_parts_matches_reference():
     with _rank_branches() as ran:
         _planted_qz_rank_matches_reference()
-    assert ran["regular"] >= 30, ran
+    assert ran["forward"] >= 30, ran
 
 
 def test_rank_over_q_z_l_t_is_a_type_error():
@@ -450,12 +450,24 @@ def _stabilizer_rank_calls(point, graded):
         return stabilizer_dim(point, graded), len(calls)
 
 
+def _z_group_element(rng):
+    """A member of the basis-change group over Q(z) (unit fixed) whose entries
+    off the first column are a + b z, a in -2..2 and b in -1..1."""
+    while True:
+        g = Matrix.from_rows([[Cyclo8(int(r == 0)) if c == 0 else Cyclo8(rng.randint(-2, 2), rng.randint(-1, 1))
+                               for c in range(4)] for r in range(4)], FIELD_C8)
+        if not g.determinant().is_zero():
+            return g
+
+
 def test_stabilizer_dim_on_the_integer_image_matches_the_full_reference_rank(catalog):
     # family points moved by g over Z, over Q, with an l-entry (all three on
     # the integer image, no Matrix.rank), with a z-part and with a denominator
-    # in l (over Q(z)(l)); n^2 minus the Gauss-Jordan rank of the full system
-    # is the reference
+    # in l (over Q(z)(l)); then the 58 fixed entries, each moved by two g with
+    # z-parts (seed 5, over Q(z), no integer image); n^2 minus the
+    # Gauss-Jordan rank of the full system is the reference
     rng = random.Random(23)
+    points = []
     for j in range(3):
         sc = catalog.entry(f"(18;l|{j})").sc
         rational = Matrix.from_rows([[Cyclo8(int(r == c)) if c == 0 or r == c else Cyclo8(rng.randint(-2, 2)) / 3
@@ -465,17 +477,22 @@ def test_stabilizer_dim_on_the_integer_image_matches_the_full_reference_rank(cat
                  (Matrix.from_rows([e1, [0, 1, L, 0], [0, 0, 1, 0], [0, 2 - L, 0, 1]], FIELD_LRAT), True),
                  (Matrix.from_rows([e1, [0, 1, 0, 0], [0, 1, 1, ZETA], [0, 0, 0, 1]], FIELD_LRAT), False),
                  (Matrix.from_rows([e1, [0, 1, 0, 1 / (L - 2)], [0, 1, 1, 0], [0, 0, 0, 1]], FIELD_LRAT), False)]
-        for g, on_image in cases:
-            moved = transport(g, sc)
-            for graded in (True, False):
-                full = Matrix.from_rows(derivation_system(moved, graded), FIELD_LRAT)
-                dim, ranks = _stabilizer_rank_calls(moved, graded)
-                assert dim == 16 - _reference_rank(full), (j, graded)
-                assert ranks == (0 if on_image else 1), (j, graded)
+        points += [(f"(18;l|{j})", transport(g, sc), on_image) for g, on_image in cases]
+    rng = random.Random(5)
+    points += [(e.label, transport(_z_group_element(rng), e.sc), False)
+               for e in catalog.entries.values() if not e.parametric for _ in range(2)]
+    assert len(points) == 15 + 116
+    for label, moved, on_image in points:
+        for graded in (True, False):
+            full = Matrix.from_rows(derivation_system(moved, graded), moved.field)
+            dim, ranks = _stabilizer_rank_calls(moved, graded)
+            assert dim == 16 - _reference_rank(full), (label, graded)
+            assert ranks == (0 if on_image else 1), (label, graded)
 
 
 def test_rank_agrees_with_sympy(catalog):
-    # a few systems of tools/oracle_rank.py, which checks all 122
+    # a few systems of tools/oracle_rank.py, which checks all 122, and two of
+    # its samples with z-parts over each field, which Matrix.rank takes by _forward
     pytest.importorskip("sympy")
     spec = importlib.util.spec_from_file_location("oracle_rank", TOOLS / "oracle_rank.py")
     oracle = importlib.util.module_from_spec(spec)
@@ -484,10 +501,15 @@ def test_rank_agrees_with_sympy(catalog):
         sc = catalog.entry(label).sc
         rows = derivation_system(sc, graded)
         assert Matrix.from_rows(rows, sc.field).rank() == oracle.sympy_rank(rows, sc.field), (label, graded)
+    samples = [s for s in oracle.z_samples() if s[0].endswith((" sample 0", " sample 1"))]
+    assert [field for _, _, field in samples] == [FIELD_C8, FIELD_C8, FIELD_LRAT, FIELD_LRAT]
+    for name, rows, field in samples:
+        _, rank = _rank_on_its_branch(rows, field)
+        assert rank == oracle.sympy_rank(rows, field), name
 
 
 def test_determinant_and_inverse_of_certificate_curves():
-    curves = [c.curve for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    curves = [c.curve for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name, 4)]
     assert len(curves) == 43
     for g in curves:
         assert g.determinant() == _leibniz_determinant(g)
@@ -518,7 +540,7 @@ def _assert_adjugate(m):
 
 def test_adjugate_of_certificate_curves(catalog):
     # the 43 shipped curves, and the composed curves of those with a pre-change
-    certs = [c for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    certs = [c for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name, 4)]
     assert len(certs) == 43
     for cert in certs:
         _assert_adjugate(cert.curve)
@@ -715,7 +737,7 @@ def test_one_kernel_matches_reference_on_catalog_derivation_systems(catalog):
 
 
 def test_one_kernel_matches_reference_on_certificate_curves():
-    curves = [c.curve for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    curves = [c.curve for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name, 4)]
     assert len(curves) == 43
     for g in curves:
         _assert_inverse_matches(g)

@@ -1,7 +1,9 @@
 """The shared rational-function body (polys.RatFunc) against the two bodies
 it replaced, kept here as the reference: _ReferenceLambdaRat and
 _ReferenceTRat are the former scalars.LambdaRat and tpoly.TRat, each with
-its own constructor, coercion, operators and literal printer.
+its own constructor, coercion, operators and literal printer.  The TRat
+printer prints a coefficient constant in l as that constant, so that equal
+values print alike; the former one parenthesised it.
 
 Random expressions in int, Cyclo8, l and t (TRat entries may carry
 LambdaRat coefficients) are evaluated with both, and the results must agree
@@ -382,6 +384,8 @@ def _ref_tpoly_literal(cs):
     for k, c in enumerate(cs):
         if c.is_zero():
             continue
+        if isinstance(c, _ReferenceLambdaRat) and c.den == _ONE_POLY and len(c.num) == 1:
+            c = c.num[0]  # a coefficient constant in l prints as that constant
         lit = _ref_scalar_literal(c)
         if k == 0:
             body = lit if isinstance(c, Cyclo8) else f"({lit})"

@@ -353,7 +353,7 @@ def test_transport_matches_reference_on_certificate_curves(catalog):
     # the composed curves of the shipped certificates, over Q(z)(l)(t)
     checked = 0
     for name in ("spec_dim3", "spec_dim2", "family_limits"):
-        for cert in load_cert_file(name):
+        for cert in load_cert_file(name, 4):
             src = catalog.entry(cert.source).sc
             curve = cert.curve
             if cert.pre_change is not None:
@@ -832,7 +832,7 @@ def _reference_verify_specialization(cert, catalog):
 
 
 def _specialization_certs(catalog):
-    certs = [c for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name)]
+    certs = [c for name in ("spec_dim3", "spec_dim2", "family_limits") for c in load_cert_file(name, 4)]
     return certs + [scaling_cert(label, catalog) for label in catalog.labels()]
 
 

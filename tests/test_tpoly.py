@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from superdegen.cyclo import Cyclo8
+from superdegen.cyclo import ZETA, Cyclo8
 from superdegen.literals import parse_scalar
 from superdegen.scalars import LAMBDA, LambdaRat
 from superdegen.tpoly import ORDER_INF, T_VAR, TRat
@@ -61,6 +61,17 @@ def test_field_ops_and_round_trip():
     for a in _random_trats(24, 30, zero_ok=False):
         assert a * a.inverse() == 1
         assert parse_scalar(str(a)) == a
+
+
+def test_equal_values_print_alike():
+    # a/a holds the constant 1 of Q(z)(l) as its coefficient; a coefficient
+    # constant in l prints as that constant
+    a = TRat.coerce(1 + LAMBDA)
+    one = a / a
+    assert one == TRat.coerce(1)
+    assert str(one) == str(TRat.coerce(1)) == "1"
+    assert str(one * 2 * t) == "2*t"
+    assert str(one * (2 + ZETA) * t + one * 3) == str((2 + ZETA) * t + 3) == "3+(2+z)*t"
 
 
 def test_lambda_substitution():

@@ -269,7 +269,7 @@ def main(argv=None):
     failures = []
     for name, (comment, records) in FILES.items():
         for rec in records:
-            cert = cert_from_record(rec)
+            cert = cert_from_record(rec, 4)
             outcome = verify_cert(cert, catalog)
             expected = rec.get("expected", "verified")
             got = outcome.status

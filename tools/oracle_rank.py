@@ -12,7 +12,8 @@ DomainMatrix over QQ<zeta8>, or over the fraction field QQ<zeta8>(l) for the
 the smaller system without the unit, against n^2 minus sympy's rank of the
 full one.  No derivation system has a coefficient with a z-part, so it
 then ranks seeded matrices that have them, over Q(z) and over Q(z)(l),
-which Matrix.rank takes through the regular representation.  It prints one
+which have no integer image and which Matrix.rank takes by field
+elimination (`linalg._forward`).  It prints one
 line per system and per sample and exits 1 on any mismatch.  Needs sympy.
 """
 
